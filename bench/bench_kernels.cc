@@ -259,8 +259,9 @@ main(int argc, char **argv)
             r.threads = threads;
             r.split_ms = timeIt(
                              [&] {
+                                 std::vector<int64_t> argmax;
                                  Tensor out = splitMaxPool2dForward(
-                                     cx, pwin, scheme);
+                                     cx, pwin, scheme, argmax);
                              },
                              11) *
                          1e3;
@@ -303,9 +304,8 @@ main(int argc, char **argv)
                         [&] {
                             Tensor gx, gb;
                             Tensor gw(cw.shape());
-                            splitConv2dBackwardFused(cx, cw, bgo,
-                                                     cwin, scheme, gx,
-                                                     gw, gb);
+                            splitConv2dBackward(cx, cw, bgo, cwin,
+                                                scheme, gx, gw, gb);
                         },
                         11) *
                     1e3;

@@ -491,10 +491,7 @@ buildSplitConvPlan(int64_t n, int64_t c, int64_t ih, int64_t iw,
 
     const std::vector<SplitBandItem> bands =
         splitConvBandItems(scheme.h);
-    int64_t max_band_rows = 0;
-    for (const SplitBandItem &b : bands)
-        max_band_rows = std::max(max_band_rows, b.oy1 - b.oy0);
-    const int64_t max_band_cols = max_band_rows * out_w;
+    const int64_t max_band_cols = maxBandRows(bands) * out_w;
     const int64_t arena_floats =
         krows * max_band_cols + gemmPackedBSize(krows, max_band_cols);
 
@@ -583,73 +580,92 @@ buildSplitConvPlan(int64_t n, int64_t c, int64_t ih, int64_t iw,
     return plan;
 }
 
+namespace {
+
+/**
+ * The image x patch items both split-pool directions share. Forward:
+ * a patch writes its output block of every channel ({base, n1=c,
+ * s1=oh*ow, n2=outLen_h, s2=ow, len=outLen_w}; the blocks tile the
+ * output) and reads its input rectangle. Backward: it reads that
+ * block of grad_out and scatter-adds into the rectangle of grad_x —
+ * every tap (max: the forward argmax; avg: the clipped window) of an
+ * output in the block lies inside the patch's input rectangle by the
+ * scheme's construction (Eqs. 1-2). Halo rows overlap between
+ * neighbouring patches of one image, so grad_x is `ordered_accum`: a
+ * worker owns the image and runs its patches serially ascending,
+ * which epoch/seq encode. Rectangles are modeled as the conservative
+ * contiguous hull, like the conv reads.
+ */
 ParallelPlan
-buildSplitPoolPlan(int64_t n, int64_t c, int64_t ih, int64_t iw,
-                   const Window2d &win, const SplitScheme2d &scheme)
+splitPoolPlan(int64_t n, int64_t c, int64_t ih, int64_t iw,
+              const SplitScheme2d &scheme, bool backward)
 {
-    (void)win;
     ParallelPlan plan;
-    plan.name = "split_pool";
+    plan.name = backward ? "split_pool_backward" : "split_pool";
     const int64_t out_h = scheme.h.pieces.back().out_end;
     const int64_t out_w = scheme.w.pieces.back().out_end;
 
-    ParallelRegion out_region;
-    out_region.name = "output";
-    out_region.size = n * c * out_h * out_w;
-    out_region.exact_cover = true;
-    plan.regions.push_back(out_region);
+    // Region 0 is written, region 1 read.
+    ParallelRegion written;
+    written.name = backward ? "grad_x" : "output";
+    written.size = n * c * (backward ? ih * iw : out_h * out_w);
+    written.exact_cover = !backward;
+    written.ordered_accum = backward;
+    plan.regions.push_back(written);
+    ParallelRegion read;
+    read.name = backward ? "grad_out" : "input";
+    read.size = n * c * (backward ? out_h * out_w : ih * iw);
+    read.read_only = true;
+    plan.regions.push_back(read);
 
-    ParallelRegion in_region;
-    in_region.name = "input";
-    in_region.size = n * c * ih * iw;
-    in_region.read_only = true;
-    plan.regions.push_back(in_region);
-
-    const int hp = scheme.h.parts();
     const int wp = scheme.w.parts();
-    const int64_t parts = int64_t(hp) * wp;
+    const int64_t parts = int64_t(scheme.h.parts()) * wp;
     for (int64_t i = 0; i < n * parts; ++i) {
         const int64_t in = i / parts;
         const int hi = static_cast<int>((i % parts) / wp);
         const int wi = static_cast<int>(i % wp);
-        const SplitPiece1d &ph =
-            scheme.h.pieces[static_cast<size_t>(hi)];
-        const SplitPiece1d &pw =
-            scheme.w.pieces[static_cast<size_t>(wi)];
+        const SplitPiece1d &ph = scheme.h.pieces[static_cast<size_t>(hi)];
+        const SplitPiece1d &pw = scheme.w.pieces[static_cast<size_t>(wi)];
 
         ParallelItem item;
-        {
-            std::ostringstream os;
-            os << "img" << in << ":patch" << hi << "." << wi;
-            item.name = os.str();
-        }
-        item.epoch = 0;
-
-        // The patch writes its output block in every channel: rows
-        // [out_start_h, out_end_h), columns [out_start_w, out_end_w).
-        ParallelAccess wout;
-        wout.region = 0;
-        wout.write = true;
-        wout.span = {in * c * out_h * out_w + ph.out_start * out_w +
-                         pw.out_start,
-                     c, out_h * out_w, ph.outLen(), out_w,
-                     pw.outLen()};
-        item.accesses.push_back(wout);
-
-        ParallelAccess rin;
-        rin.region = 1;
+        item.name = "img" + std::to_string(in) + ":patch" +
+                    std::to_string(hi) + "." + std::to_string(wi);
+        item.epoch = backward ? i % parts : 0;
+        item.seq = backward ? i : -1;
+        const StridedSpan block{in * c * out_h * out_w +
+                                    ph.out_start * out_w + pw.out_start,
+                                c,
+                                out_h * out_w,
+                                ph.outLen(),
+                                out_w,
+                                pw.outLen()};
         const int64_t first = ph.in_start * iw + pw.in_start;
         const int64_t last = (c - 1) * ih * iw +
                              (ph.in_start + ph.inLen() - 1) * iw +
                              pw.in_start + pw.inLen();
-        rin.span =
-            StridedSpan::interval(in * c * ih * iw + first,
-                                  last - first);
-        item.accesses.push_back(rin);
-
+        const StridedSpan hull =
+            StridedSpan::interval(in * c * ih * iw + first, last - first);
+        item.accesses.push_back({0, true, backward ? hull : block});
+        item.accesses.push_back({1, false, backward ? block : hull});
         plan.items.push_back(std::move(item));
     }
     return plan;
+}
+
+} // namespace
+
+ParallelPlan
+buildSplitPoolPlan(int64_t n, int64_t c, int64_t ih, int64_t iw,
+                   const Window2d &, const SplitScheme2d &scheme)
+{
+    return splitPoolPlan(n, c, ih, iw, scheme, /*backward=*/false);
+}
+
+ParallelPlan
+buildSplitPoolBackwardPlan(int64_t n, int64_t c, int64_t ih, int64_t iw,
+                           const Window2d &, const SplitScheme2d &scheme)
+{
+    return splitPoolPlan(n, c, ih, iw, scheme, /*backward=*/true);
 }
 
 ParallelPlan
@@ -722,10 +738,7 @@ buildSplitConvBackwardPlan(int64_t n, int64_t c, int64_t ih,
     const std::vector<SplitBandItem> bands =
         splitConvBandItems(scheme.h);
     const int64_t n_bands = static_cast<int64_t>(bands.size());
-    int64_t max_band_rows = 0;
-    for (const SplitBandItem &b : bands)
-        max_band_rows = std::max(max_band_rows, b.oy1 - b.oy0);
-    const int64_t max_band_cols = max_band_rows * out_w;
+    const int64_t max_band_cols = maxBandRows(bands) * out_w;
     // Staged columns + gradient columns + the three per-band packs.
     const int64_t arena_floats =
         2 * krows * max_band_cols +
@@ -911,78 +924,116 @@ buildSplitConvBackwardPlan(int64_t n, int64_t c, int64_t ih,
 }
 
 ParallelPlan
-buildSplitPoolBackwardPlan(int64_t n, int64_t c, int64_t ih,
-                           int64_t iw, const Window2d &win,
-                           const SplitScheme2d &scheme)
+buildSplitBatchNormPlan(int64_t n, int64_t c, int64_t h, int64_t w,
+                        const std::vector<PatchView> &patches)
 {
-    (void)win;
     ParallelPlan plan;
-    plan.name = "split_pool_backward";
-    const int64_t out_h = scheme.h.pieces.back().out_end;
-    const int64_t out_w = scheme.w.pieces.back().out_end;
+    plan.name = "split_batchnorm";
+    const int64_t parts = static_cast<int64_t>(patches.size());
+    const int64_t size = n * c * h * w;
+    auto region = [&](const char *name, int64_t floats,
+                      bool ParallelRegion::*discipline) {
+        ParallelRegion r;
+        r.name = name;
+        r.size = floats;
+        r.*discipline = true;
+        plan.regions.push_back(r);
+        return static_cast<int>(plan.regions.size()) - 1;
+    };
+    constexpr auto kRead = &ParallelRegion::read_only;
+    constexpr auto kCover = &ParallelRegion::exact_cover;
+    const int input = region("input", size, kRead);
+    const int params = region("params", 2 * c, kRead); // gamma, beta
+    const int output = region("output", size, kCover);
+    const int x_hat = region("x_hat", size, kCover);
+    // Rows of C: mean, batch_var, inv_std, each P rows in patch order.
+    const int stats = region("stats", 3 * parts * c, kCover);
+    const int running = region("running_stats", 2 * c,
+                               &ParallelRegion::serial_stats);
+    const int grad_out = region("grad_out", size, kRead);
+    const int grad_x = region("grad_x", size, kCover);
+    const int grad_params = region("grad_params", 2 * c, kCover);
 
-    ParallelRegion gx_region;
-    gx_region.name = "grad_x";
-    gx_region.size = n * c * ih * iw;
-    gx_region.ordered_accum = true; // halo scatter-adds overlap
-    plan.regions.push_back(gx_region);
-
-    ParallelRegion go_region;
-    go_region.name = "grad_out";
-    go_region.size = n * c * out_h * out_w;
-    go_region.read_only = true;
-    plan.regions.push_back(go_region);
-
-    const int hp = scheme.h.parts();
-    const int wp = scheme.w.parts();
-    const int64_t parts = int64_t(hp) * wp;
-    for (int64_t i = 0; i < n * parts; ++i) {
-        const int64_t in = i / parts;
-        const int hi = static_cast<int>((i % parts) / wp);
-        const int wi = static_cast<int>(i % wp);
-        const SplitPiece1d &ph =
-            scheme.h.pieces[static_cast<size_t>(hi)];
-        const SplitPiece1d &pw =
-            scheme.w.pieces[static_cast<size_t>(wi)];
-
-        ParallelItem item;
-        {
-            std::ostringstream os;
-            os << "img" << in << ":patch" << hi << "." << wi;
-            item.name = os.str();
-        }
-        // A worker owns the image; its patches run serially
-        // ascending, which epoch/seq encode for the overlap check.
-        item.epoch = i % parts;
-        item.seq = i;
-
-        // Every tap (max: the forward argmax; avg: the clipped
-        // window) of an output in the patch's block lies inside the
-        // patch's input rectangle — the scheme's in-range covers its
-        // outputs' windows by construction (Eqs. 1-2). Modeled as the
-        // conservative contiguous hull, like the forward reads.
-        ParallelAccess wgx;
-        wgx.region = 0;
-        wgx.write = true;
-        const int64_t first = ph.in_start * iw + pw.in_start;
-        const int64_t last = (c - 1) * ih * iw +
-                             (ph.in_start + ph.inLen() - 1) * iw +
-                             pw.in_start + pw.inLen();
-        wgx.span = StridedSpan::interval(in * c * ih * iw + first,
-                                         last - first);
-        item.accesses.push_back(wgx);
-
-        ParallelAccess rgo;
-        rgo.region = 1;
-        rgo.span = {in * c * out_h * out_w + ph.out_start * out_w +
-                        pw.out_start,
-                    c, out_h * out_w, ph.outLen(), out_w,
-                    pw.outLen()};
-        item.accesses.push_back(rgo);
-
-        plan.items.push_back(std::move(item));
-    }
+    auto item = [&](std::string name, int64_t epoch, int64_t seq,
+                    std::vector<ParallelAccess> accesses) {
+        plan.items.push_back(
+            {std::move(name), epoch, seq, std::move(accesses)});
+    };
+    auto plane = [&](int64_t ic) {
+        return StridedSpan{ic * h * w, n, c * h * w, 1, 0, h * w};
+    };
+    // Forward: channel ic reads its planes and writes its output and
+    // x_hat planes plus its column of every statistic row.
+    for (int64_t ic = 0; ic < c; ++ic)
+        item("fwd:ch" + std::to_string(ic), 0, -1,
+             {{input, false, plane(ic)},
+              {params, false, {ic, 2, c, 1, 0, 1}},
+              {output, true, plane(ic)},
+              {x_hat, true, plane(ic)},
+              {stats, true, {ic, 3 * parts, c, 1, 0, 1}}});
+    // One running-stat update per patch, serially in patch order.
+    for (int64_t p = 0; p < parts; ++p)
+        item("bn_update:patch" + std::to_string(p), 1 + p, p,
+             {{stats, false, {p * c, 2, parts * c, 1, 0, c}},
+              {running, true, StridedSpan::interval(0, 2 * c)},
+              {running, false, StridedSpan::interval(0, 2 * c)}});
+    // Backward: channel ic owns its grad_x plane and its gamma/beta
+    // gradient slots, accumulating the patches in ascending order.
+    for (int64_t ic = 0; ic < c; ++ic)
+        item("bwd:ch" + std::to_string(ic), 1 + parts, -1,
+             {{grad_out, false, plane(ic)},
+              {x_hat, false, plane(ic)},
+              {stats, false, {2 * parts * c + ic, parts, c, 1, 0, 1}},
+              {params, false, StridedSpan::interval(ic, 1)},
+              {grad_x, true, plane(ic)},
+              {grad_params, true, {ic, 2, c, 1, 0, 1}},
+              {grad_params, false, {ic, 2, c, 1, 0, 1}}});
     return plan;
+}
+
+std::vector<std::pair<NodeId, ParallelPlan>>
+buildRegionNodePlans(const Graph &graph)
+{
+    std::vector<std::pair<NodeId, ParallelPlan>> plans;
+    const LoweredGraph lowered = lowerGraph(graph);
+    for (const ExecNode &e : lowered.nodes) {
+        if (!e.isRegion())
+            continue;
+        const Shape &in = lowered.slot_shapes[static_cast<size_t>(
+            e.inputs[0])];
+        const int64_t n = std::min<int64_t>(in.dim(0), 2);
+        const int64_t c = in.dim(1);
+        const int64_t ih = in.dim(2);
+        const int64_t iw = in.dim(3);
+        const int64_t oc =
+            lowered.slot_shapes[static_cast<size_t>(e.output)].dim(1);
+        std::vector<ParallelPlan> node_plans;
+        switch (graph.node(e.node).kind) {
+          case OpKind::Conv2d:
+            node_plans = {
+                buildSplitConvPlan(n, c, ih, iw, oc, e.win, e.scheme),
+                buildSplitConvBackwardPlan(n, c, ih, iw, oc, e.win,
+                                           e.scheme)};
+            break;
+          case OpKind::MaxPool2d:
+          case OpKind::AvgPool2d:
+            node_plans = {
+                buildSplitPoolPlan(n, c, ih, iw, e.win, e.scheme),
+                buildSplitPoolBackwardPlan(n, c, ih, iw, e.win, e.scheme)};
+            break;
+          case OpKind::BatchNorm:
+            node_plans = {buildSplitBatchNormPlan(
+                n, c, ih, iw, splitPatchViews(e.scheme))};
+            break;
+          default:
+            break;
+        }
+        for (ParallelPlan &plan : node_plans) {
+            plan.name += ":" + graph.node(e.node).name;
+            plans.emplace_back(e.node, std::move(plan));
+        }
+    }
+    return plans;
 }
 
 ParallelPlan
@@ -990,13 +1041,30 @@ buildExecutorWavePlan(const Graph &graph, bool training)
 {
     ParallelPlan plan;
     plan.name = "executor_waves";
+    const LoweredGraph lowered = lowerGraph(graph);
 
-    // Slot-granular model: one float per tensor / parameter. The
+    // Slot-granular model: one float per value slot / parameter. The
     // executor's unit of sharing is the whole tensor (cache slots are
-    // disjoint allocations), so slot granularity is exact.
+    // disjoint allocations), so slot granularity is exact. Only the
+    // slots the lowered nodes touch are modeled (a split region's
+    // per-patch tensors are lowered away), numbered densely in order
+    // of first touch so exact_cover still demands a writer for each.
+    std::vector<int64_t> dense(lowered.slot_shapes.size(), -1);
+    int64_t live = 0;
+    auto slotOf = [&](int64_t t) {
+        int64_t &d = dense[static_cast<size_t>(t)];
+        if (d < 0)
+            d = live++;
+        return d;
+    };
+    for (const ExecNode &e : lowered.nodes) {
+        slotOf(e.output);
+        for (int64_t t : e.inputs)
+            slotOf(t);
+    }
     ParallelRegion slots;
     slots.name = "slots";
-    slots.size = static_cast<int64_t>(graph.tensors().size());
+    slots.size = live;
     slots.ordered = true;
     slots.exact_cover = true;
     plan.regions.push_back(slots);
@@ -1007,25 +1075,25 @@ buildExecutorWavePlan(const Graph &graph, bool training)
     params.serial_stats = true;
     plan.regions.push_back(params);
 
-    const auto waves = computeExecutionWaves(graph);
+    const auto waves = computeExecutionWaves(lowered);
     for (size_t w = 0; w < waves.size(); ++w) {
-        for (NodeId id : waves[w]) {
-            const Node &n = graph.node(id);
+        for (size_t i : waves[w]) {
+            const ExecNode &e = lowered.nodes[i];
+            const Node &n = graph.node(e.node);
             ParallelItem item;
-            item.name = n.name.empty()
-                            ? "node " + std::to_string(id)
-                            : n.name;
+            item.name = n.name.empty() ? "node " + std::to_string(e.node)
+                                       : n.name;
             item.epoch = static_cast<int64_t>(w);
 
             ParallelAccess wout;
             wout.region = 0;
             wout.write = true;
-            wout.span = StridedSpan::interval(n.output, 1);
+            wout.span = StridedSpan::interval(slotOf(e.output), 1);
             item.accesses.push_back(wout);
-            for (TensorId t : n.inputs) {
+            for (int64_t t : e.inputs) {
                 ParallelAccess rin;
                 rin.region = 0;
-                rin.span = StridedSpan::interval(t, 1);
+                rin.span = StridedSpan::interval(slotOf(t), 1);
                 item.accesses.push_back(rin);
             }
             // Parameter reads. Training-mode BN computes batch stats
@@ -1050,36 +1118,40 @@ buildExecutorWavePlan(const Graph &graph, bool training)
     if (training) {
         // Deferred BN running-stat updates: the executor applies them
         // one at a time in topological order after every wave has
-        // completed. Each update is its own epoch (serialized) with
-        // seq = its topological position; patch clones sharing one
-        // running-stat parameter therefore write it in a fixed
-        // serial order — the bitwise-determinism contract SA606
-        // enforces. The narrow-wave serial fallback leaves this
-        // phase untouched.
+        // completed — a split layer's per-patch updates in ascending
+        // patch order. Each update is its own epoch (serialized) with
+        // seq = its serial position; updates sharing one running-stat
+        // parameter therefore write it in a fixed serial order — the
+        // bitwise-determinism contract SA606 enforces.
         int64_t serial_epoch = static_cast<int64_t>(waves.size());
         int64_t seq = 0;
-        for (NodeId id : graph.topoOrder()) {
-            const Node &n = graph.node(id);
+        for (const ExecNode &e : lowered.nodes) {
+            const Node &n = graph.node(e.node);
             if (n.kind != OpKind::BatchNorm || n.params.size() < 4)
                 continue;
-            ParallelItem item;
-            item.name = (n.name.empty()
-                             ? "node " + std::to_string(id)
-                             : n.name) +
-                        ":bn_update";
-            item.epoch = serial_epoch++;
-            item.seq = seq++;
-            for (size_t p = 2; p < 4; ++p) {
-                ParallelAccess wp;
-                wp.region = 1;
-                wp.write = true;
-                wp.span = StridedSpan::interval(n.params[p], 1);
-                item.accesses.push_back(wp);
-                ParallelAccess rp = wp;
-                rp.write = false;
-                item.accesses.push_back(rp);
+            const size_t updates = std::max<size_t>(e.clones.size(), 1);
+            for (size_t p = 0; p < updates; ++p) {
+                ParallelItem item;
+                item.name = (n.name.empty()
+                                 ? "node " + std::to_string(e.node)
+                                 : n.name) +
+                            ":bn_update";
+                if (e.isRegion())
+                    item.name += std::to_string(p);
+                item.epoch = serial_epoch++;
+                item.seq = seq++;
+                for (size_t q = 2; q < 4; ++q) {
+                    ParallelAccess wp;
+                    wp.region = 1;
+                    wp.write = true;
+                    wp.span = StridedSpan::interval(n.params[q], 1);
+                    item.accesses.push_back(wp);
+                    ParallelAccess rp = wp;
+                    rp.write = false;
+                    item.accesses.push_back(rp);
+                }
+                plan.items.push_back(std::move(item));
             }
-            plan.items.push_back(std::move(item));
         }
     }
     return plan;
@@ -1100,6 +1172,10 @@ analyzeParallelExecution(const Graph &graph, int splits_h,
 
     append(analyzeParallelPlan(buildExecutorWavePlan(graph, true)),
            -1);
+
+    // A split graph's region nodes, under the schemes they really run.
+    for (const auto &[node, plan] : buildRegionNodePlans(graph))
+        append(analyzeParallelPlan(plan), node);
 
     for (const Node &n : graph.nodes()) {
         if (n.kind != OpKind::Conv2d && n.kind != OpKind::MaxPool2d &&

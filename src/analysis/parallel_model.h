@@ -37,7 +37,7 @@
  *
  * The builders mirror the engine's parallel surfaces (forward and
  * backward). They derive the decomposition from the same shared
- * helpers the kernels use (splitConvBandItems,
+ * helpers the kernels use (splitConvBandItems, lowerGraph,
  * computeExecutionWaves), so the model cannot silently diverge from
  * the code it describes:
  *
@@ -53,13 +53,16 @@
  *    [out_start_h, out_end_h) x [out_start_w, out_end_w) of every
  *    channel ({base, n1=c, s1=oh*ow, n2=outLen_h, s2=ow,
  *    len=outLen_w}).
- *  - buildExecutorWavePlan: the executor's dependency waves over
- *    tensor slots (slot-granular, `ordered`), parameter reads, and —
- *    in training mode — the deferred BN running-stat updates as
- *    their own post-barrier serial epochs (`serial_stats`). The
- *    narrow-wave serial fallback runs a wave's nodes on the caller
- *    in wave order, which only *strengthens* the modeled
- *    happens-before edges, so one plan covers both schedules.
+ *  - buildSplitBatchNormPlan: the split-BN channel items and its
+ *    per-patch running-stat updates.
+ *  - buildExecutorWavePlan: the executor's dependency waves over the
+ *    lowered node list's value slots (slot-granular, `ordered`),
+ *    parameter reads, and — in training mode — the deferred BN
+ *    running-stat updates as their own post-barrier serial epochs
+ *    (`serial_stats`). The serial fallback for narrow waves and
+ *    waves holding region nodes runs a wave's nodes on the caller in
+ *    wave order, which only *strengthens* the modeled happens-before
+ *    edges, so one plan covers both schedules.
  *
  * analyzeParallelExecution() is the battery `scnn lint --parallel`
  * runs: the wave plan for the graph plus a split-conv/pool plan for
@@ -216,16 +219,45 @@ ParallelPlan buildSplitPoolBackwardPlan(int64_t n, int64_t c,
                                         const SplitScheme2d &scheme);
 
 /**
- * Model the executor's wave-parallel forward pass over @p graph.
- * @p training adds the deferred BN running-stat updates as serial
- * post-wave epochs writing the shared param slots.
+ * Model the split-BN kernels (splitBatchNormForwardStats /
+ * splitBatchNormBackward, and the unsplit BN as one full patch) for
+ * @p n images of a C x h x w tensor over @p patches. Three phases in
+ * epoch order: forward channel items (each owns its channel's output
+ * and x_hat planes and its column of the per-patch statistics), one
+ * running-stat update per patch in ascending patch order on the
+ * `serial_stats` running-stat region (the SA606 contract), and
+ * backward channel items writing grad_x planes and their channel's
+ * grad_gamma / grad_beta.
+ */
+ParallelPlan buildSplitBatchNormPlan(int64_t n, int64_t c, int64_t h,
+                                     int64_t w,
+                                     const std::vector<PatchView> &patches);
+
+/**
+ * Every plan the split kernels of @p graph's region nodes (lowerGraph)
+ * run under their real schemes, each paired with the layer's first
+ * clone and named after the layer (batch modeled as min(n, 2)): conv
+ * forward and backward, pool forward and backward, or the split-BN
+ * plan. ReLU and Add region nodes run elementwise kernels over the
+ * parents and need none.
+ */
+std::vector<std::pair<NodeId, ParallelPlan>>
+buildRegionNodePlans(const Graph &graph);
+
+/**
+ * Model the executor's wave-parallel forward pass over @p graph as
+ * lowered for execution (lowerGraph: a split region's clones are one
+ * region node per layer). @p training adds the deferred BN
+ * running-stat updates as serial post-wave epochs writing the shared
+ * param slots — one per patch for a split layer.
  */
 ParallelPlan buildExecutorWavePlan(const Graph &graph, bool training);
 
 /**
  * The `scnn lint --parallel` battery: the executor wave plan
- * (training mode — the superset of the inference-mode model) plus a
- * split plan for every Conv2d / MaxPool2d / AvgPool2d node at an
+ * (training mode — the superset of the inference-mode model), the
+ * region-node plans of a split graph under their real schemes, plus
+ * a split plan for every Conv2d / MaxPool2d / AvgPool2d node at an
  * (at most) @p splits_h x @p splits_w even split grid, clamped per
  * node to its output extents. Batch is modeled as min(n, 2) images:
  * image footprints are identical translates at stride

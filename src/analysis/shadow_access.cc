@@ -310,6 +310,29 @@ ShadowSession::check()
     return sink.take();
 }
 
+std::unique_ptr<ShadowSession>
+openShadowSession(ParallelPlan plan, ShadowBindings bindings)
+{
+    auto session = std::make_unique<ShadowSession>(std::move(plan));
+    for (const auto &[name, base] : bindings)
+        session->bind(name, base);
+    return session;
+}
+
+void
+checkShadowSession(const std::unique_ptr<ShadowSession> &session,
+                   const char *what)
+{
+    if (!session)
+        return;
+    const std::vector<Diagnostic> escapes = session->check();
+    SCNN_CHECK(escapes.empty(), "shadow-access validator: "
+                                    << escapes.size()
+                                    << " SA607 escape(s) in " << what
+                                    << "; first: "
+                                    << escapes.front().toString());
+}
+
 void
 shadowSetItem(int64_t item)
 {

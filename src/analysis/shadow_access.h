@@ -37,7 +37,10 @@
 #define SCNN_ANALYSIS_SHADOW_ACCESS_H
 
 #include <cstdint>
+#include <initializer_list>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/parallel_model.h"
@@ -97,6 +100,19 @@ class ShadowSession
   private:
     Impl *impl_;
 };
+
+/** Region name -> runtime base pointer, for openShadowSession. */
+using ShadowBindings =
+    std::initializer_list<std::pair<const char *, const void *>>;
+
+/** A session over @p plan with @p bindings bound (steps 1-2 above). */
+std::unique_ptr<ShadowSession> openShadowSession(ParallelPlan plan,
+                                                 ShadowBindings bindings);
+
+/** Step 4: check @p session (no-op when null) and panic with the
+ * first SA607 escape, naming the kernel @p what. */
+void checkShadowSession(const std::unique_ptr<ShadowSession> &session,
+                        const char *what);
 
 /** Declare the work item the calling thread is about to execute. */
 void shadowSetItem(int64_t item);

@@ -1,10 +1,7 @@
 #include "core/split_op.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "analysis/parallel_model.h"
@@ -14,7 +11,6 @@
 #include "kernels/im2col.h"
 #include "kernels/microkernel.h"
 #include "kernels/pool2d.h"
-#include "kernels/rowops.h"
 #include "kernels/winograd.h"
 #include "util/logging.h"
 #include "util/mutex.h"
@@ -24,62 +20,13 @@
 
 namespace scnn {
 
-SplitScheme2d
-splitWindowOp2d(const Window2d &win, int64_t ih, int64_t iw,
-                const std::vector<int64_t> &out_h_starts,
-                const std::vector<int64_t> &out_w_starts,
-                InputSplitPolicy policy)
-{
-    const WindowParams1d hop{win.kh, win.sh, win.ph_b, win.ph_e};
-    const WindowParams1d wop{win.kw, win.sw, win.pw_b, win.pw_e};
-    SplitScheme2d scheme;
-    scheme.h = splitWindowOp(hop, ih, out_h_starts, policy);
-    scheme.w = splitWindowOp(wop, iw, out_w_starts, policy);
-    return scheme;
-}
-
-Window2d
-patchWindow(const Window2d &win, const SplitScheme2d &scheme, int hi,
-            int wi)
-{
-    SCNN_CHECK(hi >= 0 && hi < scheme.h.parts() && wi >= 0 &&
-                   wi < scheme.w.parts(),
-               "patch index out of range");
-    const SplitPiece1d &ph = scheme.h.pieces[hi];
-    const SplitPiece1d &pw = scheme.w.pieces[wi];
-    Window2d local = win;
-    local.ph_b = ph.pad_b;
-    local.ph_e = ph.pad_e;
-    local.pw_b = pw.pad_b;
-    local.pw_e = pw.pad_e;
-    return local;
-}
-
-Tensor
-slicePatch(const Tensor &x, const SplitScheme2d &scheme, int hi, int wi)
-{
-    const SplitPiece1d &ph = scheme.h.pieces[hi];
-    const SplitPiece1d &pw = scheme.w.pieces[wi];
-    // Slice by padding negatively: crop to [in_start, in_end) on both
-    // spatial axes.
-    const int64_t ih = x.shape().dim(2);
-    const int64_t iw = x.shape().dim(3);
-    return pad2d(x, -ph.in_start, ph.in_end - ih, -pw.in_start,
-                 pw.in_end - iw);
-}
-
 // ---------------------------------------------------------------------------
-// Fused zero-copy split execution, v2.
+// Fused zero-copy split execution.
 //
-// The materializing path pays, per patch: a pad2d input copy, a
-// fresh output tensor, and two concat passes — pure memory traffic
-// that made a 2x2 split ~2.8x slower than the unsplit conv. v1
-// removed those copies but still ran one small GEMM per
-// (patch, row-tile) into a bounce buffer: the GEMM's N collapsed to
-// a patch width, edge microtiles wasted MACs, B panels were repacked
-// per tile, and a copyRow pass moved every output byte twice.
-//
-// v2 makes the GEMM shape equal to the unsplit convolution's. A work
+// Materializing each patch pays a pad2d input copy, a fresh output
+// tensor, and two concat passes — pure memory traffic — and runs one
+// small GEMM per patch. The fused path instead makes the GEMM shape
+// equal to the unsplit convolution's. A work
 // item is an output-row *band* of one patch-row group (all patches
 // sharing a split-H piece): every patch stages its halo-aware im2col
 // columns into one shared column matrix whose columns are ordered by
@@ -96,54 +43,12 @@ slicePatch(const Tensor &x, const SplitScheme2d &scheme, int hi, int wi)
 // region, and each item's arithmetic is scheduling-independent — so
 // outputs are bitwise identical for any thread count. Under the
 // scalar microkernel each output element accumulates k ascending
-// from a zeroed start exactly like the materializing im2col path, so
-// the two produce identical bytes; the fused batched-GEMM Winograd
-// path likewise reproduces the materializing Winograd path's bytes.
+// from a zeroed start exactly like conv2dForward on a materialized
+// patch, so the two produce identical bytes; the fused batched-GEMM
+// Winograd path likewise reproduces conv2dForwardWinograd's bytes.
 // ---------------------------------------------------------------------------
 
-std::vector<SplitBandItem>
-splitConvBandItems(const SplitScheme1d &h)
-{
-    std::vector<SplitBandItem> bands;
-    for (int hi = 0; hi < h.parts(); ++hi) {
-        const SplitPiece1d &ph = h.pieces[static_cast<size_t>(hi)];
-        for (int64_t oy0 = 0; oy0 < ph.outLen();
-             oy0 += kSplitConvRowBand) {
-            const int64_t oy1 =
-                std::min(ph.outLen(), oy0 + kSplitConvRowBand);
-            bands.push_back({hi, oy0, oy1});
-        }
-    }
-    return bands;
-}
-
 namespace {
-
-bool
-envMaterialize()
-{
-    static const bool materialize = [] {
-        const char *env = std::getenv("SCNN_SPLIT_EXEC");
-        return env != nullptr &&
-               std::string_view(env) == "materialize";
-    }();
-    return materialize;
-}
-
-enum class WinoMode { Auto, Off, On };
-
-WinoMode
-envSplitWinograd()
-{
-    static const WinoMode mode = [] {
-        const char *env = std::getenv("SCNN_SPLIT_WINOGRAD");
-        if (env == nullptr)
-            return WinoMode::Auto;
-        return std::string_view(env) == "1" ? WinoMode::On
-                                            : WinoMode::Off;
-    }();
-    return mode;
-}
 
 uint64_t
 hashFloats(const float *p, int64_t count)
@@ -324,8 +229,7 @@ splitConv2dForwardFused(const Tensor &x, const Tensor &weight,
                  "split conv kernel extent mismatch");
     SCNN_REQUIRE(!use_winograd || winogradApplicable(win),
                  "winograd split path needs a 3x3 stride-1 window");
-    SCNN_CHECK(scheme.h.parts() > 0 && scheme.w.parts() > 0,
-               "empty split scheme");
+    checkSchemeGeometry(win, scheme);
 
     const int64_t out_h = scheme.h.pieces.back().out_end;
     const int64_t out_w = scheme.w.pieces.back().out_end;
@@ -335,33 +239,14 @@ splitConv2dForwardFused(const Tensor &x, const Tensor &weight,
         SCNN_REQUIRE(bias.numel() == oc,
                      "split conv bias size mismatch");
 
-    // Validate the scheme geometry once; the band decomposition comes
-    // from the shared helper the SA6xx analyzer also models.
-    for (int hi = 0; hi < scheme.h.parts(); ++hi) {
-        const SplitPiece1d &ph = scheme.h.pieces[hi];
-        for (int wi = 0; wi < scheme.w.parts(); ++wi) {
-            const SplitPiece1d &pw = scheme.w.pieces[wi];
-            const Window2d local = patchWindow(win, scheme, hi, wi);
-            SCNN_CHECK(local.outH(ph.inLen()) == ph.outLen() &&
-                           local.outW(pw.inLen()) == pw.outLen(),
-                       "split scheme geometry mismatch for patch ("
-                           << hi << ", " << wi << ")");
-        }
-    }
+    // The band decomposition comes from the shared helper the SA6xx
+    // analyzer also models.
     const std::vector<SplitBandItem> bands =
         splitConvBandItems(scheme.h);
-    int64_t max_band_rows = 0;
-    for (const SplitBandItem &b : bands)
-        max_band_rows = std::max(max_band_rows, b.oy1 - b.oy0);
 
     // Weight panels: packed at most once per (layer, split) — served
     // from the keyed cache on every later call, shared read-only by
-    // all workers. In debug builds, assert a hit really skipped the
-    // pack (the packs == layers invariant).
-#ifndef NDEBUG
-    const int64_t packs_before = gemmPackACalls();
-    const SplitWeightCacheStats stats_before = splitWeightCacheStats();
-#endif
+    // all workers.
     PanelRef wref;
     if (use_winograd)
         wref = weightCache().lookupOrPack(
@@ -375,16 +260,11 @@ splitConv2dForwardFused(const Tensor &x, const Tensor &weight,
             gemmPackedASize(oc, krows), [&](float *dst) {
                 gemmPackA(oc, krows, 1.0f, weight.data(), dst);
             });
-#ifndef NDEBUG
-    if (splitWeightCacheStats().hits > stats_before.hits)
-        SCNN_CHECK(gemmPackACalls() == packs_before,
-                   "weight-cache hit must not repack panels");
-#endif
 
     Tensor out = Tensor::uninitialized(Shape{n, oc, out_h, out_w});
     const float *bias_ptr = has_bias ? bias.data() : nullptr;
     const int64_t n_bands = static_cast<int64_t>(bands.size());
-    const int64_t max_band_cols = max_band_rows * out_w;
+    const int64_t max_band_cols = maxBandRows(bands) * out_w;
     const int64_t panel_floats = use_winograd
                                      ? winogradPackedUSize(oc, c)
                                      : gemmPackedASize(oc, krows);
@@ -392,14 +272,14 @@ splitConv2dForwardFused(const Tensor &x, const Tensor &weight,
     // Shadow-access validation (SCNN_SHADOW_ACCESS=1): model this
     // exact execution and, after the parallel section, check every
     // claim the kernels recorded against the static prediction.
-    std::unique_ptr<ShadowSession> shadow;
-    if (shadowAccessEnabled()) {
-        shadow = std::make_unique<ShadowSession>(
-            buildSplitConvPlan(n, c, ih, iw, oc, win, scheme));
-        shadow->bind("output", out.data());
-        shadow->bind("input", x.data());
-        shadow->bind("weight_panels", wref.panels);
-    }
+    const auto shadow =
+        shadowAccessEnabled()
+            ? openShadowSession(
+                  buildSplitConvPlan(n, c, ih, iw, oc, win, scheme),
+                  {{"output", out.data()},
+                   {"input", x.data()},
+                   {"weight_panels", wref.panels}})
+            : nullptr;
 
     globalPool().parallelFor(n * n_bands, [&](int64_t begin,
                                               int64_t end) {
@@ -481,27 +361,8 @@ splitConv2dForwardFused(const Tensor &x, const Tensor &weight,
                 }
         }
     });
-    if (shadow) {
-        const std::vector<Diagnostic> escapes = shadow->check();
-        SCNN_CHECK(escapes.empty(),
-                   "shadow-access validator: "
-                       << escapes.size()
-                       << " SA607 escape(s) in split conv; first: "
-                       << escapes.front().toString());
-    }
+    checkShadowSession(shadow, "split conv");
     return out;
-}
-
-Tensor
-splitConv2dForwardMaterialized(const Tensor &x, const Tensor &weight,
-                               const Tensor &bias, const Window2d &win,
-                               const SplitScheme2d &scheme)
-{
-    return runSplitOp(x, win, scheme,
-                      [&](const Tensor &patch, const Window2d &local) {
-                          return conv2dForwardAuto(patch, weight, bias,
-                                                   local);
-                      });
 }
 
 namespace {
@@ -536,41 +397,26 @@ splitConv2dForward(const Tensor &x, const Tensor &weight,
                           x.shape().dim(3), weight.shape().dim(0),
                           win, scheme),
                       "split conv");
-    if (envMaterialize())
-        return splitConv2dForwardMaterialized(x, weight, bias, win,
-                                              scheme);
-    bool wino = false;
-    if (winogradApplicable(win)) {
-        switch (envSplitWinograd()) {
-        case WinoMode::On:
-            wino = true;
-            break;
-        case WinoMode::Off:
-            wino = false;
-            break;
-        case WinoMode::Auto:
-            wino = winogradCostModelWins(x.shape().dim(1),
-                                         weight.shape().dim(0));
-            break;
-        }
-    }
+    const bool wino =
+        winogradApplicable(win) &&
+        winogradCostModelWins(x.shape().dim(1), weight.shape().dim(0));
     return splitConv2dForwardFused(x, weight, bias, win, scheme, wino);
 }
 
 namespace {
 
-/** Shared driver for the fused split-pool paths: one work item per
+/** Shared loop of the split-pool forwards: one work item per
  * (image, patch), each writing a disjoint block of the parent
- * output through the halo-aware patch kernel. */
+ * output (and of @p argmax, sized like it when given) through the
+ * halo-aware patch kernel, which receives the item's image index. */
 template <typename PatchKernel>
 Tensor
-splitPool2dForwardFusedImpl(const Tensor &x, const Window2d &win,
-                            const SplitScheme2d &scheme,
-                            PatchKernel &&kernel)
+splitPool2dForwardImpl(const Tensor &x, const Window2d &win,
+                       const SplitScheme2d &scheme, const char *what,
+                       std::vector<int64_t> *argmax, PatchKernel &&kernel)
 {
     SCNN_REQUIRE(x.shape().rank() == 4, "split pool input must be NCHW");
-    SCNN_CHECK(scheme.h.parts() > 0 && scheme.w.parts() > 0,
-               "empty split scheme");
+    checkSchemeGeometry(win, scheme);
     const int64_t n = x.shape().dim(0);
     const int64_t c = x.shape().dim(1);
     const int64_t ih = x.shape().dim(2);
@@ -578,6 +424,10 @@ splitPool2dForwardFusedImpl(const Tensor &x, const Window2d &win,
     const int64_t out_h = scheme.h.pieces.back().out_end;
     const int64_t out_w = scheme.w.pieces.back().out_end;
     SCNN_REQUIRE(out_h > 0 && out_w > 0, "empty split pool output");
+    if (lintParallelEnabled())
+        lintSplitPlan(buildSplitPoolPlan(std::min<int64_t>(n, 2), c, ih,
+                                         iw, win, scheme),
+                      what);
 
     const int hp = scheme.h.parts();
     const int wp = scheme.w.parts();
@@ -586,14 +436,14 @@ splitPool2dForwardFusedImpl(const Tensor &x, const Window2d &win,
     // Every output element belongs to exactly one patch block, so the
     // allocation skips its zero-fill; items write disjoint regions.
     Tensor out = Tensor::uninitialized(Shape{n, c, out_h, out_w});
+    if (argmax)
+        argmax->resize(static_cast<size_t>(out.numel()));
 
-    std::unique_ptr<ShadowSession> shadow;
-    if (shadowAccessEnabled()) {
-        shadow = std::make_unique<ShadowSession>(
-            buildSplitPoolPlan(n, c, ih, iw, win, scheme));
-        shadow->bind("output", out.data());
-        shadow->bind("input", x.data());
-    }
+    const auto shadow =
+        shadowAccessEnabled()
+            ? openShadowSession(buildSplitPoolPlan(n, c, ih, iw, win, scheme),
+                                {{"output", out.data()}, {"input", x.data()}})
+            : nullptr;
 
     globalPool().parallelFor(n * parts, [&](int64_t begin,
                                             int64_t end) {
@@ -607,440 +457,50 @@ splitPool2dForwardFusedImpl(const Tensor &x, const Window2d &win,
             const SplitPiece1d &pw = scheme.w.pieces[wi];
             const PatchView view{ph.in_start, pw.in_start, ph.inLen(),
                                  pw.inLen()};
-            const Window2d local = patchWindow(win, scheme, hi, wi);
-            SCNN_CHECK(local.outH(ph.inLen()) == ph.outLen() &&
-                           local.outW(pw.inLen()) == pw.outLen(),
-                       "split scheme geometry mismatch for patch ("
-                           << hi << ", " << wi << ")");
-            kernel(x.data() + in * c * ih * iw, c, ih, iw, view,
-                   local, out.data() + in * c * out_h * out_w, out_h,
-                   out_w, ph.out_start, pw.out_start);
+            kernel(in, x.data() + in * c * ih * iw, c, ih, iw, view,
+                   patchWindow(win, scheme, hi, wi),
+                   out.data() + in * c * out_h * out_w, out_h, out_w,
+                   ph.out_start, pw.out_start);
         }
     });
-    if (shadow) {
-        const std::vector<Diagnostic> escapes = shadow->check();
-        SCNN_CHECK(escapes.empty(),
-                   "shadow-access validator: "
-                       << escapes.size()
-                       << " SA607 escape(s) in split pool; first: "
-                       << escapes.front().toString());
-    }
+    checkShadowSession(shadow, "split pool");
     return out;
 }
 
 } // namespace
 
 Tensor
-splitMaxPool2dForwardFused(const Tensor &x, const Window2d &win,
-                           const SplitScheme2d &scheme)
-{
-    return splitPool2dForwardFusedImpl(
-        x, win, scheme,
-        [](const float *img, int64_t c, int64_t ih, int64_t iw,
-           const PatchView &view, const Window2d &local, float *out,
-           int64_t out_oh, int64_t out_ow, int64_t oy0, int64_t ox0) {
-            maxPool2dPatch(img, c, ih, iw, view, local, out, out_oh,
-                           out_ow, oy0, ox0);
-        });
-}
-
-Tensor
-splitAvgPool2dForwardFused(const Tensor &x, const Window2d &win,
-                           const SplitScheme2d &scheme)
-{
-    return splitPool2dForwardFusedImpl(
-        x, win, scheme,
-        [](const float *img, int64_t c, int64_t ih, int64_t iw,
-           const PatchView &view, const Window2d &local, float *out,
-           int64_t out_oh, int64_t out_ow, int64_t oy0, int64_t ox0) {
-            avgPool2dPatch(img, c, ih, iw, view, local, out, out_oh,
-                           out_ow, oy0, ox0);
-        });
-}
-
-Tensor
-splitMaxPool2dForwardMaterialized(const Tensor &x, const Window2d &win,
-                                  const SplitScheme2d &scheme)
-{
-    return runSplitOp(x, win, scheme,
-                      [&](const Tensor &patch, const Window2d &local) {
-                          std::vector<int64_t> argmax;
-                          return maxPool2dForward(patch, local, argmax);
-                      });
-}
-
-Tensor
-splitAvgPool2dForwardMaterialized(const Tensor &x, const Window2d &win,
-                                  const SplitScheme2d &scheme)
-{
-    return runSplitOp(x, win, scheme,
-                      [&](const Tensor &patch, const Window2d &local) {
-                          return avgPool2dForward(patch, local);
-                      });
-}
-
-Tensor
 splitMaxPool2dForward(const Tensor &x, const Window2d &win,
-                      const SplitScheme2d &scheme)
+                      const SplitScheme2d &scheme,
+                      std::vector<int64_t> &argmax)
 {
-    if (lintParallelEnabled())
-        lintSplitPlan(buildSplitPoolPlan(
-                          std::min<int64_t>(x.shape().dim(0), 2),
-                          x.shape().dim(1), x.shape().dim(2),
-                          x.shape().dim(3), win, scheme),
-                      "split max-pool");
-    if (envMaterialize())
-        return splitMaxPool2dForwardMaterialized(x, win, scheme);
-    return splitMaxPool2dForwardFused(x, win, scheme);
+    return splitPool2dForwardImpl(
+        x, win, scheme, "split max-pool", &argmax,
+        [&](int64_t in, const float *img, int64_t c, int64_t ih,
+            int64_t iw, const PatchView &view, const Window2d &local,
+            float *out, int64_t out_oh, int64_t out_ow, int64_t oy0,
+            int64_t ox0) {
+            // argmax mirrors the output layout and holds indices into
+            // the whole input tensor.
+            maxPool2dPatch(img, c, ih, iw, view, local, out, out_oh,
+                           out_ow, oy0, ox0,
+                           argmax.data() + in * c * out_oh * out_ow,
+                           in * c * ih * iw);
+        });
 }
 
 Tensor
 splitAvgPool2dForward(const Tensor &x, const Window2d &win,
                       const SplitScheme2d &scheme)
 {
-    if (lintParallelEnabled())
-        lintSplitPlan(buildSplitPoolPlan(
-                          std::min<int64_t>(x.shape().dim(0), 2),
-                          x.shape().dim(1), x.shape().dim(2),
-                          x.shape().dim(3), win, scheme),
-                      "split avg-pool");
-    if (envMaterialize())
-        return splitAvgPool2dForwardMaterialized(x, win, scheme);
-    return splitAvgPool2dForwardFused(x, win, scheme);
-}
-
-// ---------------------------------------------------------------------------
-// Fused zero-copy split backward.
-//
-// The backward twin of the fused forward: gradient patches are
-// PatchViews into the parent tensors, never per-patch copies. Images
-// fan out across the pool in waves; a worker owns a whole image and
-// runs its row bands serially ascending, so every halo scatter-add
-// into grad_x happens in a fixed order (the SA609 ordered-accumulation
-// contract) and nothing races. Per band, every width patch stages its
-// halo-aware im2col columns into one shared column matrix ordered by
-// parent output position — exactly the forward staging — and the
-// matrix feeds *both* gradient GEMMs:
-//
-//   wgrad  gw_img[krows x oc] += packA(col) x packB(grad_out band^T)
-//          (grad_out^T packed straight from the parent tensor via
-//          gemmPackBStrided; beta = 1 chains the image's bands, and
-//          per-image partials reduce into grad_w serially in image
-//          order — bitwise-identical for any thread count),
-//   dgrad  gcol = packA(W^T) x packB(grad_out band), scattered into
-//          the parent grad_x through col2imViewStrided's hoisted
-//          flank bounds (W^T panels come from the weight-panel cache
-//          under a dgrad key).
-//
-// The materialized path (SCNN_SPLIT_EXEC=materialize) is the pinned
-// reference: it replays the identical write order while routing every
-// read through bounce copies (sliced patch rectangles, contiguous
-// grad_out bands, freshly packed panels), so fused and materialized
-// are bitwise-equal by construction and a parity failure isolates the
-// zero-copy view machinery.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-void
-splitConv2dBackwardImpl(const Tensor &x, const Tensor &weight,
-                        const Tensor &grad_out, const Window2d &win,
-                        const SplitScheme2d &scheme, Tensor &grad_x,
-                        Tensor &grad_w, Tensor &grad_b,
-                        bool materialize)
-{
-    SCNN_REQUIRE(x.shape().rank() == 4, "split conv input must be NCHW");
-    SCNN_REQUIRE(weight.shape().rank() == 4,
-                 "split conv weight must be [OC, C, kh, kw]");
-    const int64_t n = x.shape().dim(0);
-    const int64_t c = x.shape().dim(1);
-    const int64_t ih = x.shape().dim(2);
-    const int64_t iw = x.shape().dim(3);
-    const int64_t oc = weight.shape().dim(0);
-    SCNN_REQUIRE(weight.shape().dim(1) == c,
-                 "split conv channel mismatch");
-    SCNN_REQUIRE(weight.shape().dim(2) == win.kh &&
-                     weight.shape().dim(3) == win.kw,
-                 "split conv kernel extent mismatch");
-    SCNN_CHECK(scheme.h.parts() > 0 && scheme.w.parts() > 0,
-               "empty split scheme");
-
-    const int64_t out_h = scheme.h.pieces.back().out_end;
-    const int64_t out_w = scheme.w.pieces.back().out_end;
-    SCNN_CHECK(grad_out.shape() == Shape({n, oc, out_h, out_w}),
-               "split conv grad_out shape mismatch: "
-                   << grad_out.shape().toString());
-    SCNN_CHECK(grad_w.shape() == weight.shape(),
-               "grad_w must be pre-shaped like weight");
-    const bool has_bias = grad_b.numel() > 0;
-    if (has_bias)
-        SCNN_REQUIRE(grad_b.numel() == oc,
-                     "split conv grad_b size mismatch");
-
-    for (int hi = 0; hi < scheme.h.parts(); ++hi) {
-        const SplitPiece1d &ph = scheme.h.pieces[hi];
-        for (int wi = 0; wi < scheme.w.parts(); ++wi) {
-            const SplitPiece1d &pw = scheme.w.pieces[wi];
-            const Window2d local = patchWindow(win, scheme, hi, wi);
-            SCNN_CHECK(local.outH(ph.inLen()) == ph.outLen() &&
-                           local.outW(pw.inLen()) == pw.outLen(),
-                       "split scheme geometry mismatch for patch ("
-                           << hi << ", " << wi << ")");
-        }
-    }
-
-    const int64_t krows = c * win.kh * win.kw;
-    const int64_t ospatial = out_h * out_w;
-    const int64_t panel_floats = gemmPackedASize(krows, oc);
-
-    const std::vector<SplitBandItem> bands =
-        splitConvBandItems(scheme.h);
-    const int64_t n_bands = static_cast<int64_t>(bands.size());
-    int64_t max_band_rows = 0;
-    for (const SplitBandItem &b : bands)
-        max_band_rows = std::max(max_band_rows, b.oy1 - b.oy0);
-    const int64_t max_band_cols = max_band_rows * out_w;
-
-    grad_x = Tensor(x.shape()); // zero: halo scatters accumulate
-
-    auto &arena = ScratchArena::tls();
-    auto guard = arena.scope();
-
-    // dgrad operand: W^T packed A panels, A(i, p) = weight[p*krows+i].
-    // Fused serves them from the keyed cache (a dgrad key, so one
-    // layer caches its forward and backward layouts side by side);
-    // the pinned reference packs fresh every call.
-    const float *wt_panels = nullptr;
-    PanelRef wref;
-    if (materialize) {
-        float *fresh = arena.alloc(panel_floats);
-        gemmPackAStrided(krows, oc, 1.0f, weight.data(), /*rs=*/1,
-                         /*cs=*/krows, fresh);
-        wt_panels = fresh;
-    } else {
-#ifndef NDEBUG
-        const int64_t packs_before = gemmPackACalls();
-        const SplitWeightCacheStats stats_before =
-            splitWeightCacheStats();
-#endif
-        wref = weightCache().lookupOrPack(
-            weight.data(), oc * krows, krows, oc, PanelKind::Dgrad,
-            panel_floats, [&](float *dst) {
-                gemmPackAStrided(krows, oc, 1.0f, weight.data(),
-                                 /*rs=*/1, /*cs=*/krows, dst);
-            });
-#ifndef NDEBUG
-        if (splitWeightCacheStats().hits > stats_before.hits)
-            SCNN_CHECK(gemmPackACalls() == packs_before,
-                       "weight-cache hit must not repack panels");
-#endif
-        wt_panels = wref.panels;
-    }
-
-    const int64_t wave = std::max<int64_t>(1, globalThreads());
-    float *gw_acc = arena.alloc(wave * krows * oc);
-    float *gb_acc = has_bias ? arena.alloc(wave * oc) : nullptr;
-
-    int64_t max_ph_len = 0;
-    for (const SplitPiece1d &p : scheme.h.pieces)
-        max_ph_len = std::max(max_ph_len, p.inLen());
-    int64_t max_pw_len = 0;
-    for (const SplitPiece1d &p : scheme.w.pieces)
-        max_pw_len = std::max(max_pw_len, p.inLen());
-
-    std::unique_ptr<ShadowSession> shadow;
-    if (!materialize && shadowAccessEnabled()) {
-        shadow = std::make_unique<ShadowSession>(
-            buildSplitConvBackwardPlan(n, c, ih, iw, oc, win, scheme));
-        shadow->bind("grad_x", grad_x.data());
-        shadow->bind("grad_out", grad_out.data());
-        shadow->bind("input", x.data());
-        shadow->bind("weight_panels", wt_panels);
-        shadow->bind("grad_w", grad_w.data());
-        if (has_bias)
-            shadow->bind("grad_b", grad_b.data());
-    }
-
-    for (int64_t w0 = 0; w0 < n; w0 += wave) {
-        const int64_t wn = std::min(wave, n - w0);
-        globalPool().parallelFor(wn, [&](int64_t begin, int64_t end) {
-            auto &warena = ScratchArena::tls();
-            auto wguard = warena.scope();
-            float *col = warena.alloc(krows * max_band_cols);
-            float *gcol = warena.alloc(krows * max_band_cols);
-            float *pa_col =
-                warena.alloc(gemmPackedASize(krows, max_band_cols));
-            float *pb_got =
-                warena.alloc(gemmPackedBSize(max_band_cols, oc));
-            float *pb_go =
-                warena.alloc(gemmPackedBSize(oc, max_band_cols));
-            float *patch_buf =
-                materialize ? warena.alloc(c * max_ph_len * max_pw_len)
-                            : nullptr;
-            float *go_buf =
-                materialize ? warena.alloc(oc * max_band_cols)
-                            : nullptr;
-            for (int64_t wi = begin; wi < end; ++wi) {
-                const int64_t in = w0 + wi;
-                const float *go = grad_out.data() + in * oc * ospatial;
-                const float *img = x.data() + in * c * ih * iw;
-                float *gx_img = grad_x.data() + in * c * ih * iw;
-                float *gw_img = gw_acc + wi * krows * oc;
-                for (int64_t bi = 0; bi < n_bands; ++bi) {
-                    const SplitBandItem &band =
-                        bands[static_cast<size_t>(bi)];
-                    const SplitPiece1d &ph =
-                        scheme.h.pieces[static_cast<size_t>(band.hi)];
-                    const int64_t rows = band.oy1 - band.oy0;
-                    const int64_t nb = rows * out_w;
-                    const float *go_band =
-                        go + (ph.out_start + band.oy0) * out_w;
-                    if (shadow) {
-                        shadowSetItem(in * n_bands + bi);
-                        // The band's grad_out rows of every output
-                        // channel and its shared panel read; input
-                        // reads and grad_x scatters are recorded
-                        // inside the view kernels.
-                        shadowRecordSpan(go_band,
-                                         {0, oc, ospatial, 1, 0, nb},
-                                         false);
-                        shadowRecord(wt_panels, panel_floats, false);
-                    }
-                    for (int pi = 0; pi < scheme.w.parts(); ++pi) {
-                        const SplitPiece1d &pw =
-                            scheme.w.pieces[static_cast<size_t>(pi)];
-                        const PatchView view{ph.in_start, pw.in_start,
-                                             ph.inLen(), pw.inLen()};
-                        const Window2d local =
-                            patchWindow(win, scheme, band.hi, pi);
-                        if (!materialize) {
-                            im2colViewStrided(img, c, ih, iw, view,
-                                              local, band.oy0,
-                                              band.oy1,
-                                              col + pw.out_start, nb,
-                                              out_w);
-                            continue;
-                        }
-                        // Reference: bounce-copy the patch rectangle
-                        // and stage from the copy — byte-equal
-                        // columns, but no view machinery on the read
-                        // side.
-                        for (int64_t ic = 0; ic < c; ++ic)
-                            for (int64_t y = 0; y < view.ih; ++y)
-                                std::memcpy(
-                                    patch_buf +
-                                        (ic * view.ih + y) * view.iw,
-                                    img + ic * ih * iw +
-                                        (view.r0 + y) * iw + view.c0,
-                                    static_cast<size_t>(view.iw) *
-                                        sizeof(float));
-                        im2colViewStrided(
-                            patch_buf, c, view.ih, view.iw,
-                            PatchView::full(view.ih, view.iw), local,
-                            band.oy0, band.oy1, col + pw.out_start,
-                            nb, out_w);
-                    }
-                    const float *go_src = go_band;
-                    int64_t go_ld = ospatial;
-                    if (materialize) {
-                        for (int64_t o = 0; o < oc; ++o)
-                            std::memcpy(
-                                go_buf + o * nb,
-                                go_band + o * ospatial,
-                                static_cast<size_t>(nb) *
-                                    sizeof(float));
-                        go_src = go_buf;
-                        go_ld = nb;
-                    }
-                    // wgrad: gw_img (krows x oc, grad_w transposed)
-                    // accumulates this band's columns x grad_out^T
-                    // product; beta = 1 chains bands ascending.
-                    gemmPackA(krows, nb, 1.0f, col, pa_col);
-                    gemmPackBStrided(nb, oc, go_src, /*rs=*/1,
-                                     /*cs=*/go_ld, pb_got);
-                    gemmPackedAB(krows, oc, nb, pa_col, pb_got,
-                                 bi == 0 ? 0.0f : 1.0f, gw_img, oc);
-                    // dgrad: gcol = W^T x grad_out band, scattered
-                    // per width patch in ascending order.
-                    gemmPackB(oc, nb, go_src, /*ldb=*/go_ld, pb_go);
-                    gemmPackedAB(krows, nb, oc, wt_panels, pb_go,
-                                 0.0f, gcol, nb);
-                    for (int pi = 0; pi < scheme.w.parts(); ++pi) {
-                        const SplitPiece1d &pw =
-                            scheme.w.pieces[static_cast<size_t>(pi)];
-                        const PatchView view{ph.in_start, pw.in_start,
-                                             ph.inLen(), pw.inLen()};
-                        col2imViewStrided(
-                            gcol + pw.out_start, c, ih, iw, view,
-                            patchWindow(win, scheme, band.hi, pi),
-                            band.oy0, band.oy1, gx_img, nb, out_w);
-                    }
-                }
-                if (has_bias) {
-                    float *gb = gb_acc + wi * oc;
-                    if (shadow) {
-                        shadowSetItem(n * n_bands + in);
-                        shadowRecord(go, oc * ospatial, false);
-                    }
-                    std::fill(gb, gb + oc, 0.0f);
-                    addRowSums(go, oc, ospatial, gb);
-                }
-            }
+    return splitPool2dForwardImpl(
+        x, win, scheme, "split avg-pool", nullptr,
+        [](int64_t, const float *img, int64_t c, int64_t ih, int64_t iw,
+           const PatchView &view, const Window2d &local, float *out,
+           int64_t out_oh, int64_t out_ow, int64_t oy0, int64_t ox0) {
+            avgPool2dPatch(img, c, ih, iw, view, local, out, out_oh,
+                           out_ow, oy0, ox0);
         });
-        for (int64_t wi = 0; wi < wn; ++wi) {
-            const int64_t in = w0 + wi;
-            if (shadow) {
-                shadowSetItem(n * n_bands + n + in);
-                shadowRecord(grad_w.data(), oc * krows, true);
-                if (has_bias)
-                    shadowRecord(grad_b.data(), oc, true);
-            }
-            // gw_img is [krows x oc]; grad_w is [oc x krows].
-            const float *gw = gw_acc + wi * krows * oc;
-            float *dst = grad_w.data();
-            for (int64_t o = 0; o < oc; ++o)
-                for (int64_t r = 0; r < krows; ++r)
-                    dst[o * krows + r] += gw[r * oc + o];
-            if (has_bias) {
-                const float *gb = gb_acc + wi * oc;
-                for (int64_t o = 0; o < oc; ++o)
-                    grad_b.at(o) += gb[o];
-            }
-        }
-    }
-    if (shadow) {
-        const std::vector<Diagnostic> escapes = shadow->check();
-        SCNN_CHECK(escapes.empty(),
-                   "shadow-access validator: "
-                       << escapes.size()
-                       << " SA607 escape(s) in split conv backward; "
-                          "first: "
-                       << escapes.front().toString());
-    }
-}
-
-} // namespace
-
-void
-splitConv2dBackwardFused(const Tensor &x, const Tensor &weight,
-                         const Tensor &grad_out, const Window2d &win,
-                         const SplitScheme2d &scheme, Tensor &grad_x,
-                         Tensor &grad_w, Tensor &grad_b)
-{
-    splitConv2dBackwardImpl(x, weight, grad_out, win, scheme, grad_x,
-                            grad_w, grad_b, /*materialize=*/false);
-}
-
-void
-splitConv2dBackwardMaterialized(const Tensor &x, const Tensor &weight,
-                                const Tensor &grad_out,
-                                const Window2d &win,
-                                const SplitScheme2d &scheme,
-                                Tensor &grad_x, Tensor &grad_w,
-                                Tensor &grad_b)
-{
-    splitConv2dBackwardImpl(x, weight, grad_out, win, scheme, grad_x,
-                            grad_w, grad_b, /*materialize=*/true);
 }
 
 void
@@ -1049,40 +509,64 @@ splitConv2dBackward(const Tensor &x, const Tensor &weight,
                     const SplitScheme2d &scheme, Tensor &grad_x,
                     Tensor &grad_w, Tensor &grad_b)
 {
+    SCNN_REQUIRE(x.shape().rank() == 4 && weight.shape().rank() == 4,
+                 "split conv backward needs NCHW input and OIHW weight");
+    const int64_t n = x.shape().dim(0);
+    const int64_t c = x.shape().dim(1);
+    const int64_t ih = x.shape().dim(2);
+    const int64_t iw = x.shape().dim(3);
+    const int64_t oc = weight.shape().dim(0);
+    const int64_t krows = c * win.kh * win.kw;
+    SCNN_REQUIRE(weight.numel() == oc * krows,
+                 "split conv weight does not match the input");
     if (lintParallelEnabled())
-        lintSplitPlan(buildSplitConvBackwardPlan(
-                          std::min<int64_t>(x.shape().dim(0), 2),
-                          x.shape().dim(1), x.shape().dim(2),
-                          x.shape().dim(3), weight.shape().dim(0),
-                          win, scheme),
+        lintSplitPlan(buildSplitConvBackwardPlan(std::min<int64_t>(n, 2),
+                                                 c, ih, iw, oc, win,
+                                                 scheme),
                       "split conv backward");
-    if (envMaterialize()) {
-        splitConv2dBackwardMaterialized(x, weight, grad_out, win,
-                                        scheme, grad_x, grad_w,
-                                        grad_b);
-        return;
-    }
-    splitConv2dBackwardFused(x, weight, grad_out, win, scheme, grad_x,
-                             grad_w, grad_b);
+
+    // dgrad operand: W^T packed A panels, A(i, p) = weight[p*krows+i],
+    // served from the keyed cache under a dgrad key, so one layer
+    // caches its forward and backward layouts side by side.
+    const PanelRef wref = weightCache().lookupOrPack(
+        weight.data(), oc * krows, krows, oc, PanelKind::Dgrad,
+        gemmPackedASize(krows, oc), [&](float *dst) {
+            gemmPackAStrided(krows, oc, 1.0f, weight.data(), /*rs=*/1,
+                             /*cs=*/krows, dst);
+        });
+
+    grad_x = Tensor(x.shape()); // zero: halo scatters accumulate
+    const auto shadow =
+        shadowAccessEnabled()
+            ? openShadowSession(
+                  buildSplitConvBackwardPlan(n, c, ih, iw, oc, win, scheme),
+                  {{"grad_x", grad_x.data()},
+                   {"grad_out", grad_out.data()},
+                   {"input", x.data()},
+                   {"weight_panels", wref.panels},
+                   {"grad_w", grad_w.data()}})
+            : nullptr;
+    if (shadow && grad_b.numel() > 0)
+        shadow->bind("grad_b", grad_b.data());
+    conv2dBackwardPatches(x, wref.panels, grad_out, win, scheme, grad_x,
+                          grad_w, grad_b);
+    checkShadowSession(shadow, "split conv backward");
 }
 
 namespace {
 
 /**
- * Shared driver for the split pool backward paths: one image per
- * worker, the image's patches scattered serially ascending so halo
- * targets (k > s windows straddling a patch seam) accumulate in a
- * fixed order. @p scatter receives the patch geometry plus the
- * grad_out block to read — either the parent tensor directly (fused)
- * or a bounce copy with identical contents (materialized) — and adds
- * into grad_x through the patch's view; both paths therefore produce
- * identical bytes.
+ * Shared loop of the split pool backwards: one image per worker,
+ * the image's patches scattered serially ascending so halo targets
+ * (k > s windows straddling a patch seam) accumulate in a fixed
+ * order. @p scatter adds patch (hi, wi) of image @p in into grad_x
+ * through the patch's view.
  */
 template <typename Scatter>
 Tensor
 splitPool2dBackwardImpl(const Shape &in_shape, const Tensor &grad_out,
-                        const SplitScheme2d &scheme, bool materialize,
-                        Scatter &&scatter)
+                        const Window2d &win, const SplitScheme2d &scheme,
+                        const char *what, Scatter &&scatter)
 {
     SCNN_REQUIRE(in_shape.rank() == 4, "split pool input must be NCHW");
     SCNN_CHECK(scheme.h.parts() > 0 && scheme.w.parts() > 0,
@@ -1096,6 +580,10 @@ splitPool2dBackwardImpl(const Shape &in_shape, const Tensor &grad_out,
     SCNN_CHECK(grad_out.shape() == Shape({n, c, out_h, out_w}),
                "split pool grad_out shape mismatch: "
                    << grad_out.shape().toString());
+    if (lintParallelEnabled())
+        lintSplitPlan(buildSplitPoolBackwardPlan(std::min<int64_t>(n, 2),
+                                                 c, ih, iw, win, scheme),
+                      what);
 
     const int hp = scheme.h.parts();
     const int wp = scheme.w.parts();
@@ -1103,14 +591,12 @@ splitPool2dBackwardImpl(const Shape &in_shape, const Tensor &grad_out,
 
     Tensor grad_x(in_shape); // zero: scatter-add target
 
-    std::unique_ptr<ShadowSession> shadow;
-    if (!materialize && shadowAccessEnabled()) {
-        shadow = std::make_unique<ShadowSession>(
-            buildSplitPoolBackwardPlan(n, c, ih, iw, Window2d{},
-                                       scheme));
-        shadow->bind("grad_x", grad_x.data());
-        shadow->bind("grad_out", grad_out.data());
-    }
+    const auto shadow =
+        shadowAccessEnabled()
+            ? openShadowSession(
+                  buildSplitPoolBackwardPlan(n, c, ih, iw, win, scheme),
+                  {{"grad_x", grad_x.data()}, {"grad_out", grad_out.data()}})
+            : nullptr;
 
     globalPool().parallelFor(n, [&](int64_t nb, int64_t ne) {
         for (int64_t in = nb; in < ne; ++in) {
@@ -1144,25 +630,16 @@ splitPool2dBackwardImpl(const Shape &in_shape, const Tensor &grad_out,
             }
         }
     });
-    if (shadow) {
-        const std::vector<Diagnostic> escapes = shadow->check();
-        SCNN_CHECK(escapes.empty(),
-                   "shadow-access validator: "
-                       << escapes.size()
-                       << " SA607 escape(s) in split pool backward; "
-                          "first: "
-                       << escapes.front().toString());
-    }
+    checkShadowSession(shadow, "split pool backward");
     return grad_x;
 }
 
 } // namespace
 
 Tensor
-splitMaxPool2dBackwardFused(const Shape &in_shape,
-                            const Tensor &grad_out,
-                            const std::vector<int64_t> &argmax,
-                            const SplitScheme2d &scheme)
+splitMaxPool2dBackward(const Shape &in_shape, const Tensor &grad_out,
+                       const std::vector<int64_t> &argmax,
+                       const SplitScheme2d &scheme)
 {
     SCNN_CHECK(static_cast<int64_t>(argmax.size()) == grad_out.numel(),
                "argmax size mismatch");
@@ -1170,7 +647,7 @@ splitMaxPool2dBackwardFused(const Shape &in_shape,
     const int64_t out_h = scheme.h.pieces.back().out_end;
     const int64_t out_w = scheme.w.pieces.back().out_end;
     return splitPool2dBackwardImpl(
-        in_shape, grad_out, scheme, /*materialize=*/false,
+        in_shape, grad_out, Window2d{}, scheme, "split max-pool backward",
         [&](Tensor &gx, int64_t in, int hi, int wi) {
             const SplitPiece1d &ph = scheme.h.pieces[hi];
             const SplitPiece1d &pw = scheme.w.pieces[wi];
@@ -1192,197 +669,29 @@ splitMaxPool2dBackwardFused(const Shape &in_shape,
 }
 
 Tensor
-splitMaxPool2dBackwardMaterialized(const Shape &in_shape,
-                                   const Tensor &grad_out,
-                                   const std::vector<int64_t> &argmax,
-                                   const SplitScheme2d &scheme)
-{
-    SCNN_CHECK(static_cast<int64_t>(argmax.size()) == grad_out.numel(),
-               "argmax size mismatch");
-    const int64_t c = in_shape.dim(1);
-    const int64_t out_h = scheme.h.pieces.back().out_end;
-    const int64_t out_w = scheme.w.pieces.back().out_end;
-    return splitPool2dBackwardImpl(
-        in_shape, grad_out, scheme, /*materialize=*/true,
-        [&](Tensor &gx, int64_t in, int hi, int wi) {
-            const SplitPiece1d &ph = scheme.h.pieces[hi];
-            const SplitPiece1d &pw = scheme.w.pieces[wi];
-            // Reference: bounce-copy the block's grad_out values and
-            // argmax slots, then scatter in the identical order.
-            const int64_t bh = ph.outLen();
-            const int64_t bw = pw.outLen();
-            std::vector<float> go_buf(
-                static_cast<size_t>(c * bh * bw));
-            std::vector<int64_t> am_buf(
-                static_cast<size_t>(c * bh * bw));
-            int64_t bo = 0;
-            for (int64_t ic = 0; ic < c; ++ic)
-                for (int64_t oy = ph.out_start; oy < ph.out_end; ++oy)
-                    for (int64_t ox = pw.out_start; ox < pw.out_end;
-                         ++ox, ++bo) {
-                        const int64_t oi =
-                            ((in * c + ic) * out_h + oy) * out_w + ox;
-                        go_buf[static_cast<size_t>(bo)] =
-                            grad_out.at(oi);
-                        am_buf[static_cast<size_t>(bo)] =
-                            argmax[static_cast<size_t>(oi)];
-                    }
-            for (int64_t i = 0; i < bo; ++i) {
-                const int64_t idx = am_buf[static_cast<size_t>(i)];
-                if (idx >= 0)
-                    gx.at(idx) += go_buf[static_cast<size_t>(i)];
-            }
-        });
-}
-
-Tensor
-splitMaxPool2dBackward(const Shape &in_shape, const Tensor &grad_out,
-                       const std::vector<int64_t> &argmax,
-                       const SplitScheme2d &scheme)
-{
-    if (lintParallelEnabled())
-        lintSplitPlan(buildSplitPoolBackwardPlan(
-                          std::min<int64_t>(in_shape.dim(0), 2),
-                          in_shape.dim(1), in_shape.dim(2),
-                          in_shape.dim(3), Window2d{}, scheme),
-                      "split max-pool backward");
-    if (envMaterialize())
-        return splitMaxPool2dBackwardMaterialized(in_shape, grad_out,
-                                                  argmax, scheme);
-    return splitMaxPool2dBackwardFused(in_shape, grad_out, argmax,
-                                       scheme);
-}
-
-namespace {
-
-/** The avg-pool patch scatter: the exact adjoint of avgPool2dPatch —
- * every in-view tap of an output in the patch block receives
- * grad * 1/(kh*kw) (count_include_pad: out-of-view taps are parent
- * padding and get nothing, exactly as the forward reads them as
- * zero). @p go points at the block's first element; rows are
- * @p go_rs apart and channels @p go_cs apart, so the fused path
- * reads the parent grad_out in place and the reference path reads a
- * contiguous bounce copy — same values, same order, same bytes. */
-void
-avgPoolPatchScatter(Tensor &gx, const float *go, int64_t go_rs,
-                    int64_t go_cs, int64_t in, int64_t c, int64_t ih,
-                    int64_t iw, const Window2d &win,
-                    const SplitScheme2d &scheme, int hi, int wi)
-{
-    const SplitPiece1d &ph = scheme.h.pieces[hi];
-    const SplitPiece1d &pw = scheme.w.pieces[wi];
-    const PatchView view{ph.in_start, pw.in_start, ph.inLen(),
-                         pw.inLen()};
-    const Window2d local = patchWindow(win, scheme, hi, wi);
-    const float inv_area =
-        1.0f / static_cast<float>(win.kh * win.kw);
-    const int64_t bh = ph.outLen();
-    const int64_t bw = pw.outLen();
-    for (int64_t ic = 0; ic < c; ++ic) {
-        float *chan = gx.data() + (in * c + ic) * ih * iw;
-        const float *gchan = go + ic * go_cs;
-        for (int64_t oy = 0; oy < bh; ++oy)
-            for (int64_t ox = 0; ox < bw; ++ox) {
-                const float g = gchan[oy * go_rs + ox] * inv_area;
-                for (int64_t ky = 0; ky < local.kh; ++ky) {
-                    const int64_t iy =
-                        oy * local.sh - local.ph_b + ky;
-                    if (iy < 0 || iy >= view.ih)
-                        continue;
-                    for (int64_t kx = 0; kx < local.kw; ++kx) {
-                        const int64_t ix =
-                            ox * local.sw - local.pw_b + kx;
-                        if (ix >= 0 && ix < view.iw)
-                            chan[view.parentOffset(iy, ix, iw)] += g;
-                    }
-                }
-            }
-    }
-}
-
-} // namespace
-
-Tensor
-splitAvgPool2dBackwardFused(const Shape &in_shape,
-                            const Tensor &grad_out,
-                            const Window2d &win,
-                            const SplitScheme2d &scheme)
-{
-    const int64_t c = in_shape.dim(1);
-    const int64_t ih = in_shape.dim(2);
-    const int64_t iw = in_shape.dim(3);
-    const int64_t out_h = scheme.h.pieces.back().out_end;
-    const int64_t out_w = scheme.w.pieces.back().out_end;
-    return splitPool2dBackwardImpl(
-        in_shape, grad_out, scheme, /*materialize=*/false,
-        [&](Tensor &gx, int64_t in, int hi, int wi) {
-            const SplitPiece1d &ph = scheme.h.pieces[hi];
-            const SplitPiece1d &pw = scheme.w.pieces[wi];
-            // Zero-copy: the scatter reads the block straight out of
-            // the parent grad_out at the parent strides.
-            const float *go = grad_out.data() +
-                              (in * c * out_h + ph.out_start) * out_w +
-                              pw.out_start;
-            avgPoolPatchScatter(gx, go, /*go_rs=*/out_w,
-                                /*go_cs=*/out_h * out_w, in, c, ih,
-                                iw, win, scheme, hi, wi);
-        });
-}
-
-Tensor
-splitAvgPool2dBackwardMaterialized(const Shape &in_shape,
-                                   const Tensor &grad_out,
-                                   const Window2d &win,
-                                   const SplitScheme2d &scheme)
-{
-    const int64_t c = in_shape.dim(1);
-    const int64_t ih = in_shape.dim(2);
-    const int64_t iw = in_shape.dim(3);
-    const int64_t out_h = scheme.h.pieces.back().out_end;
-    const int64_t out_w = scheme.w.pieces.back().out_end;
-    return splitPool2dBackwardImpl(
-        in_shape, grad_out, scheme, /*materialize=*/true,
-        [&](Tensor &gx, int64_t in, int hi, int wi) {
-            const SplitPiece1d &ph = scheme.h.pieces[hi];
-            const SplitPiece1d &pw = scheme.w.pieces[wi];
-            // Reference: bounce-copy the block, scatter from the
-            // copy in the identical order.
-            const int64_t bh = ph.outLen();
-            const int64_t bw = pw.outLen();
-            std::vector<float> block(
-                static_cast<size_t>(c * bh * bw));
-            for (int64_t ic = 0; ic < c; ++ic)
-                for (int64_t oy = 0; oy < bh; ++oy)
-                    std::memcpy(
-                        block.data() + (ic * bh + oy) * bw,
-                        grad_out.data() +
-                            ((in * c + ic) * out_h + ph.out_start +
-                             oy) *
-                                out_w +
-                            pw.out_start,
-                        static_cast<size_t>(bw) * sizeof(float));
-            avgPoolPatchScatter(gx, block.data(), /*go_rs=*/bw,
-                                /*go_cs=*/bh * bw, in, c, ih, iw, win,
-                                scheme, hi, wi);
-        });
-}
-
-Tensor
 splitAvgPool2dBackward(const Shape &in_shape, const Tensor &grad_out,
                        const Window2d &win,
                        const SplitScheme2d &scheme)
 {
-    if (lintParallelEnabled())
-        lintSplitPlan(buildSplitPoolBackwardPlan(
-                          std::min<int64_t>(in_shape.dim(0), 2),
-                          in_shape.dim(1), in_shape.dim(2),
-                          in_shape.dim(3), win, scheme),
-                      "split avg-pool backward");
-    if (envMaterialize())
-        return splitAvgPool2dBackwardMaterialized(in_shape, grad_out,
-                                                  win, scheme);
-    return splitAvgPool2dBackwardFused(in_shape, grad_out, win,
-                                       scheme);
+    const int64_t c = in_shape.dim(1);
+    const int64_t ih = in_shape.dim(2);
+    const int64_t iw = in_shape.dim(3);
+    const int64_t out_h = scheme.h.pieces.back().out_end;
+    const int64_t out_w = scheme.w.pieces.back().out_end;
+    return splitPool2dBackwardImpl(
+        in_shape, grad_out, win, scheme, "split avg-pool backward",
+        [&](Tensor &gx, int64_t in, int hi, int wi) {
+            // grad_out is read in place at the parent strides.
+            const SplitPiece1d &ph = scheme.h.pieces[hi];
+            const SplitPiece1d &pw = scheme.w.pieces[wi];
+            avgPool2dPatchBackward(
+                grad_out.data() +
+                    (in * c * out_h + ph.out_start) * out_w + pw.out_start,
+                out_h, out_w, c, ih, iw,
+                {ph.in_start, pw.in_start, ph.inLen(), pw.inLen()},
+                patchWindow(win, scheme, hi, wi),
+                gx.data() + in * c * ih * iw);
+        });
 }
 
 } // namespace scnn

@@ -1,7 +1,9 @@
 #include "core/splitter.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <functional>
 #include <map>
 #include <set>
 
@@ -67,7 +69,254 @@ validateRegionIsDominatedByCut(const Graph &graph,
     }
 }
 
+/** True when the pieces' input ranges tile [0, extent). */
+bool
+tiles(const SplitScheme1d &s, int64_t extent)
+{
+    int64_t at = 0;
+    for (const SplitPiece1d &p : s.pieces) {
+        if (p.in_start != at || p.in_end <= at)
+            return false;
+        at = p.in_end;
+    }
+    return at == extent;
+}
+
+/** One axis of a layer's scheme, read from clones[i * stride] for
+ * i < parts along tensor dim @p dim (2 = H, 3 = W); window layers
+ * take the clones' paddings. */
+SplitScheme1d
+axisScheme(const Graph &g, const std::vector<NodeId> &clones, int parts,
+           int stride, int dim, bool window)
+{
+    SplitScheme1d s;
+    int64_t in0 = 0;
+    int64_t out0 = 0;
+    for (int i = 0; i < parts; ++i) {
+        const Node &n = g.node(clones[static_cast<size_t>(i * stride)]);
+        const int64_t in_len = g.tensor(n.inputs[0]).shape.dim(dim);
+        const int64_t out_len = g.tensor(n.output).shape.dim(dim);
+        SplitPiece1d p{in0, in0 + in_len, out0, out0 + out_len, 0, 0};
+        if (window) {
+            p.pad_b = dim == 2 ? n.win.ph_b : n.win.pw_b;
+            p.pad_e = dim == 2 ? n.win.ph_e : n.win.pw_e;
+        }
+        s.pieces.push_back(p);
+        in0 += in_len;
+        out0 += out_len;
+    }
+    return s;
+}
+
 } // namespace
+
+std::optional<SplitRegion>
+recoverSplitRegion(const Graph &graph)
+{
+    const std::vector<NodeId> topo = graph.topoOrder();
+    SplitRegion r;
+    for (NodeId id : topo)
+        if (graph.node(id).kind == OpKind::Slice)
+            r.slices.push_back(id);
+    if (r.slices.empty())
+        return std::nullopt;
+
+    // --- Patch grid: the Slice rectangles in row-major order ----------
+    auto rect = [&](NodeId id) {
+        const Node &n = graph.node(id);
+        return std::array<int64_t, 4>{n.h_start, n.w_start, n.h_end,
+                                      n.w_end};
+    };
+    std::sort(r.slices.begin(), r.slices.end(),
+              [&](NodeId a, NodeId b) { return rect(a) < rect(b); });
+    r.input = graph.node(r.slices[0]).inputs[0];
+    const Shape &in_shape = graph.tensor(r.input).shape;
+    SplitScheme2d sliced; // the Slice partition, as an identity scheme
+    for (NodeId id : r.slices) {
+        const Node &n = graph.node(id);
+        if (n.w_start == 0)
+            sliced.h.pieces.push_back(
+                {n.h_start, n.h_end, n.h_start, n.h_end, 0, 0});
+        if (n.h_start == 0)
+            sliced.w.pieces.push_back(
+                {n.w_start, n.w_end, n.w_start, n.w_end, 0, 0});
+    }
+    const int nh = sliced.h.parts();
+    const int nw = sliced.w.parts();
+    const int parts = nh * nw;
+    bool grid = in_shape.rank() == 4 &&
+                static_cast<int>(r.slices.size()) == parts &&
+                tiles(sliced.h, in_shape.dim(2)) &&
+                tiles(sliced.w, in_shape.dim(3));
+    for (int p = 0; grid && p < parts; ++p) {
+        const SplitPiece1d &ph = sliced.h.pieces[p / nw];
+        const SplitPiece1d &pw = sliced.w.pieces[p % nw];
+        grid = graph.node(r.slices[p]).inputs[0] == r.input &&
+               rect(r.slices[p]) ==
+                   std::array{ph.in_start, pw.in_start, ph.in_end,
+                              pw.in_end};
+    }
+    SCNN_REQUIRE(grid, "split region: the Slice nodes do not tile "
+                       "one NCHW tensor");
+
+    // --- Patch chains: (layer, patch) of every patch tensor -----------
+    constexpr int kNone = -2; // not a patch tensor; -1 = a Slice output
+    const size_t n_tensors = graph.tensors().size();
+    std::vector<int> t_layer(n_tensors, kNone);
+    std::vector<int> t_patch(n_tensors, -1);
+    std::vector<bool> joined(n_tensors, false); // join Concat outputs
+    for (int p = 0; p < parts; ++p) {
+        const auto t =
+            static_cast<size_t>(graph.node(r.slices[p]).output);
+        t_layer[t] = -1;
+        t_patch[t] = p;
+    }
+    std::vector<std::vector<NodeId>> chains(static_cast<size_t>(parts));
+    for (NodeId id : topo) {
+        const Node &n = graph.node(id);
+        bool any_patch = false;
+        bool all_region = true;
+        for (TensorId t : n.inputs) {
+            const bool patch = t_layer[static_cast<size_t>(t)] != kNone;
+            any_patch = any_patch || patch;
+            all_region = all_region &&
+                         (patch || joined[static_cast<size_t>(t)]);
+        }
+        if (n.kind == OpKind::Concat && all_region) {
+            r.joins.push_back(id);
+            joined[static_cast<size_t>(n.output)] = true;
+            continue;
+        }
+        if (n.kind == OpKind::Slice || !any_patch)
+            continue;
+        const int p = t_patch[static_cast<size_t>(n.inputs[0])];
+        for (TensorId t : n.inputs)
+            SCNN_REQUIRE(t_layer[static_cast<size_t>(t)] != kNone &&
+                             t_patch[static_cast<size_t>(t)] == p,
+                         "split region: node "
+                             << n.name
+                             << " mixes patch and unsplit tensors");
+        auto &chain = chains[static_cast<size_t>(p)];
+        chain.push_back(id);
+        t_layer[static_cast<size_t>(n.output)] =
+            static_cast<int>(chain.size()) - 1;
+        t_patch[static_cast<size_t>(n.output)] = p;
+    }
+
+    // --- One layer per chain position ---------------------------------
+    const size_t depth = chains[0].size();
+    for (const auto &chain : chains)
+        SCNN_REQUIRE(chain.size() == depth && depth > 0,
+                     "split region: patch chains differ in length");
+    for (size_t k = 0; k < depth; ++k) {
+        SplitRegionLayer layer;
+        for (const auto &chain : chains)
+            layer.clones.push_back(chain[k]);
+        const Node &n0 = graph.node(layer.clones[0]);
+        for (TensorId t : n0.inputs)
+            layer.inputs.push_back(t_layer[static_cast<size_t>(t)]);
+        const bool window = isWindowOp(n0.kind);
+        SplitScheme2d &sc = layer.scheme;
+        sc.h = axisScheme(graph, layer.clones, nh, nw, 2, window);
+        sc.w = axisScheme(graph, layer.clones, nw, 1, 3, window);
+        layer.win = n0.win;
+        if (window) {
+            layer.win.ph_b = sc.h.pieces.front().pad_b;
+            layer.win.ph_e = sc.h.pieces.back().pad_e;
+            layer.win.pw_b = sc.w.pieces.front().pad_b;
+            layer.win.pw_e = sc.w.pieces.back().pad_e;
+        }
+
+        // Every clone is the layer's op on its own patch: same kind,
+        // parameters and window up to the scheme's paddings, shapes
+        // on the grid, inputs from the same layers' same patch — so
+        // each input partition is the one its producer wrote.
+        bool ok = window || n0.kind == OpKind::BatchNorm ||
+                  n0.kind == OpKind::ReLU || n0.kind == OpKind::Add;
+        for (int p = 0; ok && p < parts; ++p) {
+            const Node &n = graph.node(layer.clones[p]);
+            const SplitPiece1d &ph = sc.h.pieces[p / nw];
+            const SplitPiece1d &pw = sc.w.pieces[p % nw];
+            const Shape &os = graph.tensor(n.output).shape;
+            ok = n.kind == n0.kind && n.params == n0.params &&
+                 n.has_bias == n0.has_bias &&
+                 n.out_channels == n0.out_channels &&
+                 n.win == (window ? patchWindow(layer.win, sc, p / nw,
+                                                p % nw)
+                                  : n0.win) &&
+                 os.dim(2) == ph.outLen() && os.dim(3) == pw.outLen() &&
+                 n.inputs.size() == n0.inputs.size();
+            for (size_t j = 0; ok && j < n.inputs.size(); ++j) {
+                const Shape &is = graph.tensor(n.inputs[j]).shape;
+                ok = t_layer[static_cast<size_t>(n.inputs[j])] ==
+                         layer.inputs[j] &&
+                     is.dim(2) == ph.inLen() && is.dim(3) == pw.inLen();
+            }
+        }
+        SCNN_REQUIRE(ok, "split region: the clones of " << n0.name
+                                                        << " do not form "
+                                                           "one split "
+                                                           "layer");
+        const Shape &os = graph.tensor(n0.output).shape;
+        layer.out_shape = Shape{os.dim(0), os.dim(1),
+                                sc.h.pieces.back().out_end,
+                                sc.w.pieces.back().out_end};
+        r.layers.push_back(std::move(layer));
+    }
+
+    // --- The join reassembles one layer's patches in place -------------
+    // Walk the join tree from the final Concat (the one no other join
+    // reads), placing every patch tensor at its concat offset.
+    for (NodeId id : r.joins) {
+        const TensorId t = graph.node(id).output;
+        bool read_by_join = false;
+        for (NodeId c : graph.tensor(t).consumers)
+            read_by_join = read_by_join || joined[static_cast<size_t>(
+                                               graph.node(c).output)];
+        if (!read_by_join) {
+            SCNN_REQUIRE(r.join == kInvalidTensor,
+                         "split region: more than one final join");
+            r.join = t;
+        }
+    }
+    SCNN_REQUIRE(r.join != kInvalidTensor, "split region: no join");
+    std::vector<std::pair<int64_t, int64_t>> at(static_cast<size_t>(parts),
+                                                {-1, -1});
+    size_t joins_seen = 0;
+    std::function<void(TensorId, int64_t, int64_t)> place =
+        [&](TensorId t, int64_t h0, int64_t w0) {
+            if (t_layer[static_cast<size_t>(t)] != kNone) {
+                SCNN_REQUIRE(t_layer[static_cast<size_t>(t)] + 1 ==
+                                 static_cast<int>(depth),
+                             "split region: the join reads an inner "
+                             "layer");
+                at[static_cast<size_t>(t_patch[static_cast<size_t>(t)])] =
+                    {h0, w0};
+                return;
+            }
+            const Node &c = graph.node(graph.tensor(t).producer);
+            SCNN_REQUIRE(joined[static_cast<size_t>(t)],
+                         "split region: the join reads " << c.name);
+            ++joins_seen;
+            for (TensorId in : c.inputs) {
+                place(in, h0, w0);
+                (c.concat_dim == 2 ? h0 : w0) +=
+                    graph.tensor(in).shape.dim(c.concat_dim);
+            }
+        };
+    place(r.join, 0, 0);
+    const SplitRegionLayer &jl = r.layers.back();
+    bool in_place = joins_seen == r.joins.size() &&
+                    graph.tensor(r.join).shape == jl.out_shape;
+    for (int p = 0; p < parts; ++p)
+        in_place = in_place &&
+                   at[static_cast<size_t>(p)] ==
+                       std::pair(jl.scheme.h.pieces[p / nw].out_start,
+                                 jl.scheme.w.pieces[p % nw].out_start);
+    SCNN_REQUIRE(in_place, "split region: the join does not reassemble "
+                           "the patches in place");
+    return r;
+}
 
 int
 chooseCutPoint(const Graph &graph, double depth)

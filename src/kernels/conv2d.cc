@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "analysis/shadow_access.h"
 #include "kernels/gemm.h"
 #include "kernels/im2col.h"
 #include "kernels/rowops.h"
@@ -81,48 +82,18 @@ conv2dBackward(const Tensor &x, const Tensor &weight,
                const Tensor &grad_out, const Window2d &win,
                Tensor &grad_x, Tensor &grad_w, Tensor &grad_b)
 {
-    const int64_t n = x.shape().dim(0);
-    const int64_t c = x.shape().dim(1);
+    SCNN_REQUIRE(x.shape().rank() == 4 && weight.shape().rank() == 4,
+                 "conv2d backward needs NCHW input and OIHW weight");
     const int64_t ih = x.shape().dim(2);
     const int64_t iw = x.shape().dim(3);
     const int64_t oc = weight.shape().dim(0);
-    const int64_t oh = win.outH(ih);
-    const int64_t ow = win.outW(iw);
-    SCNN_CHECK(grad_out.shape() == Shape({n, oc, oh, ow}),
-               "conv2d grad_out shape mismatch: "
-                   << grad_out.shape().toString());
-
-    const int64_t krows = c * win.kh * win.kw;
-    const int64_t ospatial = oh * ow;
-
-    grad_x = Tensor(x.shape()); // zero: col2im scatter-adds into it
-    SCNN_CHECK(grad_w.shape() == weight.shape(),
-               "grad_w must be pre-shaped like weight");
-    const bool has_bias = grad_b.numel() > 0;
-
-    // Band-fused packed-GEMM pipeline, the backward twin of the split
-    // forward: each image's output rows are processed in 16-row bands
-    // whose im2col columns are staged once and consumed by *both*
-    // gradient GEMMs —
-    //
-    //   wgrad  gw_img[krows x oc] += packA(col) * packB(grad_out^T)
-    //          (grad_out^T packed straight from the parent tensor via
-    //          gemmPackBStrided, beta = 1 chains the bands' KC-style
-    //          k-accumulation in ascending band order),
-    //   dgrad  gcol[krows x nb]    = packA(W^T) * packB(grad_out band)
-    //          (W^T packed once per call via gemmPackAStrided), then
-    //          col2im-scattered with hoisted flank bounds.
-    //
-    // Images are processed in waves of `wave`; a worker owns whole
-    // images, so its dgrad scatters race with nobody and its bands run
-    // serially ascending. Per-image wgrad/bias partials are reduced
-    // serially in image order after each wave. Band order, scatter
-    // order, and reduction order are all independent of the thread
-    // count, so results are bitwise-identical for any pool size (the
-    // same contract as gemmPackedAB).
-    constexpr int64_t kBackwardRowBand = 16;
-    const int64_t band_rows = std::min(oh, kBackwardRowBand);
-    const int64_t bc_max = band_rows * ow;
+    const int64_t krows = x.shape().dim(1) * win.kh * win.kw;
+    SCNN_REQUIRE(weight.numel() == oc * krows,
+                 "conv2d weight does not match the input");
+    // The whole image is the one patch.
+    SplitScheme2d whole;
+    whole.h.pieces = {{0, ih, 0, win.outH(ih), win.ph_b, win.ph_e}};
+    whole.w.pieces = {{0, iw, 0, win.outW(iw), win.pw_b, win.pw_e}};
 
     auto &arena = ScratchArena::tls();
     auto guard = arena.scope();
@@ -130,7 +101,45 @@ conv2dBackward(const Tensor &x, const Tensor &weight,
     float *pa_wt = arena.alloc(gemmPackedASize(krows, oc));
     gemmPackAStrided(krows, oc, 1.0f, weight.data(), /*rs=*/1,
                      /*cs=*/krows, pa_wt);
+    grad_x = Tensor(x.shape()); // zero: col2im scatter-adds into it
+    conv2dBackwardPatches(x, pa_wt, grad_out, win, whole, grad_x, grad_w,
+                          grad_b);
+}
 
+void
+conv2dBackwardPatches(const Tensor &x, const float *wt_panels,
+                      const Tensor &grad_out, const Window2d &win,
+                      const SplitScheme2d &scheme, Tensor &grad_x,
+                      Tensor &grad_w, Tensor &grad_b)
+{
+    SCNN_REQUIRE(x.shape().rank() == 4, "conv2d input must be NCHW");
+    checkSchemeGeometry(win, scheme);
+    const int64_t n = x.shape().dim(0);
+    const int64_t c = x.shape().dim(1);
+    const int64_t ih = x.shape().dim(2);
+    const int64_t iw = x.shape().dim(3);
+    const int64_t oc = grad_w.shape().dim(0);
+    const int64_t out_h = scheme.h.pieces.back().out_end;
+    const int64_t out_w = scheme.w.pieces.back().out_end;
+    SCNN_CHECK(grad_out.shape() == Shape({n, oc, out_h, out_w}),
+               "conv2d grad_out shape mismatch: "
+                   << grad_out.shape().toString());
+    SCNN_CHECK(grad_w.shape() == Shape({oc, c, win.kh, win.kw}) &&
+                   grad_x.shape() == x.shape(),
+               "grad_w / grad_x must be pre-shaped like weight / x");
+    const bool has_bias = grad_b.numel() > 0;
+    if (has_bias)
+        SCNN_REQUIRE(grad_b.numel() == oc, "conv2d grad_b size mismatch");
+
+    const int64_t krows = c * win.kh * win.kw;
+    const int64_t ospatial = out_h * out_w;
+    const std::vector<SplitBandItem> bands =
+        splitConvBandItems(scheme.h);
+    const int64_t n_bands = static_cast<int64_t>(bands.size());
+    const int64_t max_band_cols = maxBandRows(bands) * out_w;
+
+    auto &arena = ScratchArena::tls();
+    auto guard = arena.scope();
     const int64_t wave = std::max<int64_t>(1, globalThreads());
     float *gw_acc = arena.alloc(wave * krows * oc);
     float *gb_acc = has_bias ? arena.alloc(wave * oc) : nullptr;
@@ -140,51 +149,88 @@ conv2dBackward(const Tensor &x, const Tensor &weight,
         globalPool().parallelFor(wn, [&](int64_t begin, int64_t end) {
             auto &warena = ScratchArena::tls();
             auto wguard = warena.scope();
-            float *col = warena.alloc(krows * bc_max);
-            float *gcol = warena.alloc(krows * bc_max);
-            float *pa_col = warena.alloc(gemmPackedASize(krows, bc_max));
-            float *pb_got = warena.alloc(gemmPackedBSize(bc_max, oc));
-            float *pb_go = warena.alloc(gemmPackedBSize(oc, bc_max));
+            float *col = warena.alloc(krows * max_band_cols);
+            float *gcol = warena.alloc(krows * max_band_cols);
+            float *pa_col =
+                warena.alloc(gemmPackedASize(krows, max_band_cols));
+            float *pb_got =
+                warena.alloc(gemmPackedBSize(max_band_cols, oc));
+            float *pb_go =
+                warena.alloc(gemmPackedBSize(oc, max_band_cols));
             for (int64_t wi = begin; wi < end; ++wi) {
                 const int64_t in = w0 + wi;
                 const float *go = grad_out.data() + in * oc * ospatial;
                 const float *img = x.data() + in * c * ih * iw;
                 float *gx_img = grad_x.data() + in * c * ih * iw;
                 float *gw_img = gw_acc + wi * krows * oc;
-                for (int64_t oy0 = 0; oy0 < oh;
-                     oy0 += kBackwardRowBand) {
-                    const int64_t oy1 =
-                        std::min(oh, oy0 + kBackwardRowBand);
-                    const int64_t nb = (oy1 - oy0) * ow;
-                    const float *go_band = go + oy0 * ow;
-                    im2colView(img, c, ih, iw, PatchView::full(ih, iw),
-                               win, oy0, oy1, col);
+                for (int64_t bi = 0; bi < n_bands; ++bi) {
+                    const SplitBandItem &band =
+                        bands[static_cast<size_t>(bi)];
+                    const SplitPiece1d &ph =
+                        scheme.h.pieces[static_cast<size_t>(band.hi)];
+                    const int64_t rows = band.oy1 - band.oy0;
+                    const int64_t nb = rows * out_w;
+                    const float *go_band =
+                        go + (ph.out_start + band.oy0) * out_w;
+                    // Shadow claims: the band's grad_out rows of
+                    // every output channel and its shared panel read;
+                    // input reads and grad_x scatters are recorded
+                    // inside the view kernels.
+                    shadowSetItem(in * n_bands + bi);
+                    shadowRecordSpan(go_band, {0, oc, ospatial, 1, 0, nb},
+                                     false);
+                    shadowRecord(wt_panels, gemmPackedASize(krows, oc),
+                                 false);
+                    for (int pi = 0; pi < scheme.w.parts(); ++pi) {
+                        const SplitPiece1d &pw =
+                            scheme.w.pieces[static_cast<size_t>(pi)];
+                        const PatchView view{ph.in_start, pw.in_start,
+                                             ph.inLen(), pw.inLen()};
+                        im2colViewStrided(
+                            img, c, ih, iw, view,
+                            patchWindow(win, scheme, band.hi, pi),
+                            band.oy0, band.oy1, col + pw.out_start, nb,
+                            out_w);
+                    }
                     // wgrad: gw_img (krows x oc, grad_w transposed)
-                    // accumulates this band's im2col-columns x
-                    // grad_out-panels product.
+                    // accumulates this band's columns x grad_out^T
+                    // product; beta = 1 chains bands ascending.
                     gemmPackA(krows, nb, 1.0f, col, pa_col);
                     gemmPackBStrided(nb, oc, go_band, /*rs=*/1,
                                      /*cs=*/ospatial, pb_got);
                     gemmPackedAB(krows, oc, nb, pa_col, pb_got,
-                                 oy0 == 0 ? 0.0f : 1.0f, gw_img, oc);
-                    // dgrad: gcol = W^T * grad_out band, scattered
-                    // back through the im2col adjoint.
-                    gemmPackB(oc, nb, go_band, /*ldb=*/ospatial,
-                              pb_go);
-                    gemmPackedAB(krows, nb, oc, pa_wt, pb_go, 0.0f,
-                                 gcol, nb);
-                    col2imView(gcol, c, ih, iw,
-                               PatchView::full(ih, iw), win, oy0, oy1,
-                               gx_img);
+                                 bi == 0 ? 0.0f : 1.0f, gw_img, oc);
+                    // dgrad: gcol = W^T x grad_out band, scattered
+                    // per width patch in ascending order.
+                    gemmPackB(oc, nb, go_band, /*ldb=*/ospatial, pb_go);
+                    gemmPackedAB(krows, nb, oc, wt_panels, pb_go,
+                                 0.0f, gcol, nb);
+                    for (int pi = 0; pi < scheme.w.parts(); ++pi) {
+                        const SplitPiece1d &pw =
+                            scheme.w.pieces[static_cast<size_t>(pi)];
+                        const PatchView view{ph.in_start, pw.in_start,
+                                             ph.inLen(), pw.inLen()};
+                        col2imViewStrided(
+                            gcol + pw.out_start, c, ih, iw, view,
+                            patchWindow(win, scheme, band.hi, pi),
+                            band.oy0, band.oy1, gx_img, nb, out_w);
+                    }
                 }
                 if (has_bias) {
                     float *gb = gb_acc + wi * oc;
+                    shadowSetItem(n * n_bands + in);
+                    shadowRecord(go, oc * ospatial, false);
                     std::fill(gb, gb + oc, 0.0f);
                     addRowSums(go, oc, ospatial, gb);
                 }
             }
         });
         for (int64_t wi = 0; wi < wn; ++wi) {
+            const int64_t in = w0 + wi;
+            shadowSetItem(n * n_bands + n + in);
+            shadowRecord(grad_w.data(), oc * krows, true);
+            if (has_bias)
+                shadowRecord(grad_b.data(), oc, true);
             // gw_img is [krows x oc]; grad_w is [oc x krows].
             const float *gw = gw_acc + wi * krows * oc;
             float *dst = grad_w.data();

@@ -43,49 +43,18 @@ maxPool2dForward(const Tensor &x, const Window2d &win,
     const int64_t ow = win.outW(iw);
     SCNN_REQUIRE(oh > 0 && ow > 0, "empty pool output");
 
-    // Every output element and argmax slot is written below, and
-    // images write disjoint ranges, so the batch loop parallelizes
-    // without changing a single bit.
+    // The whole image is the patch. Every output element and argmax
+    // slot is written, and images write disjoint ranges, so the batch
+    // loop parallelizes without changing a single bit.
     Tensor out = Tensor::uninitialized(Shape{n, c, oh, ow});
     argmax.resize(static_cast<size_t>(n * c * oh * ow));
-
     globalPool().parallelFor(n, [&](int64_t nb, int64_t ne) {
-        for (int64_t in = nb; in < ne; ++in) {
-            int64_t oi = in * c * oh * ow;
-            for (int64_t ic = 0; ic < c; ++ic) {
-                const float *chan = x.data() + (in * c + ic) * ih * iw;
-                const int64_t chan_base = (in * c + ic) * ih * iw;
-                for (int64_t oy = 0; oy < oh; ++oy) {
-                    for (int64_t ox = 0; ox < ow; ++ox, ++oi) {
-                        float best =
-                            -std::numeric_limits<float>::infinity();
-                        int64_t best_idx = -1;
-                        for (int64_t ky = 0; ky < win.kh; ++ky) {
-                            const int64_t iy =
-                                oy * win.sh - win.ph_b + ky;
-                            if (iy < 0 || iy >= ih)
-                                continue;
-                            for (int64_t kx = 0; kx < win.kw; ++kx) {
-                                const int64_t ix =
-                                    ox * win.sw - win.pw_b + kx;
-                                if (ix < 0 || ix >= iw)
-                                    continue;
-                                const float v = chan[iy * iw + ix];
-                                if (v > best) {
-                                    best = v;
-                                    best_idx =
-                                        chan_base + iy * iw + ix;
-                                }
-                            }
-                        }
-                        // All-padding windows output 0 (and get no
-                        // gradient), matching zero-pad semantics.
-                        out.at(oi) = (best_idx < 0) ? 0.0f : best;
-                        argmax[static_cast<size_t>(oi)] = best_idx;
-                    }
-                }
-            }
-        }
+        for (int64_t in = nb; in < ne; ++in)
+            maxPool2dPatch(x.data() + in * c * ih * iw, c, ih, iw,
+                           PatchView::full(ih, iw), win,
+                           out.data() + in * c * oh * ow, oh, ow, 0, 0,
+                           argmax.data() + in * c * oh * ow,
+                           in * c * ih * iw);
     });
     return out;
 }
@@ -124,34 +93,13 @@ avgPool2dForward(const Tensor &x, const Window2d &win)
     const int64_t oh = win.outH(ih);
     const int64_t ow = win.outW(iw);
     SCNN_REQUIRE(oh > 0 && ow > 0, "empty pool output");
-    const float inv_area = 1.0f / static_cast<float>(win.kh * win.kw);
 
     Tensor out = Tensor::uninitialized(Shape{n, c, oh, ow});
     globalPool().parallelFor(n, [&](int64_t nb, int64_t ne) {
-        for (int64_t in = nb; in < ne; ++in) {
-            int64_t oi = in * c * oh * ow;
-            for (int64_t ic = 0; ic < c; ++ic) {
-                const float *chan = x.data() + (in * c + ic) * ih * iw;
-                for (int64_t oy = 0; oy < oh; ++oy) {
-                    for (int64_t ox = 0; ox < ow; ++ox, ++oi) {
-                        float acc = 0.0f;
-                        for (int64_t ky = 0; ky < win.kh; ++ky) {
-                            const int64_t iy =
-                                oy * win.sh - win.ph_b + ky;
-                            if (iy < 0 || iy >= ih)
-                                continue;
-                            for (int64_t kx = 0; kx < win.kw; ++kx) {
-                                const int64_t ix =
-                                    ox * win.sw - win.pw_b + kx;
-                                if (ix >= 0 && ix < iw)
-                                    acc += chan[iy * iw + ix];
-                            }
-                        }
-                        out.at(oi) = acc * inv_area;
-                    }
-                }
-            }
-        }
+        for (int64_t in = nb; in < ne; ++in)
+            avgPool2dPatch(x.data() + in * c * ih * iw, c, ih, iw,
+                           PatchView::full(ih, iw), win,
+                           out.data() + in * c * oh * ow, oh, ow, 0, 0);
     });
     return out;
 }
@@ -166,33 +114,13 @@ avgPool2dBackward(const Shape &x_shape, const Tensor &grad_out,
     const int64_t iw = x_shape.dim(3);
     const int64_t oh = win.outH(ih);
     const int64_t ow = win.outW(iw);
-    const float inv_area = 1.0f / static_cast<float>(win.kh * win.kw);
 
     Tensor grad_x(x_shape); // zero: windows may not cover everything
     globalPool().parallelFor(n, [&](int64_t nb, int64_t ne) {
-        for (int64_t in = nb; in < ne; ++in) {
-            int64_t oi = in * c * oh * ow;
-            for (int64_t ic = 0; ic < c; ++ic) {
-                float *chan = grad_x.data() + (in * c + ic) * ih * iw;
-                for (int64_t oy = 0; oy < oh; ++oy) {
-                    for (int64_t ox = 0; ox < ow; ++ox, ++oi) {
-                        const float g = grad_out.at(oi) * inv_area;
-                        for (int64_t ky = 0; ky < win.kh; ++ky) {
-                            const int64_t iy =
-                                oy * win.sh - win.ph_b + ky;
-                            if (iy < 0 || iy >= ih)
-                                continue;
-                            for (int64_t kx = 0; kx < win.kw; ++kx) {
-                                const int64_t ix =
-                                    ox * win.sw - win.pw_b + kx;
-                                if (ix >= 0 && ix < iw)
-                                    chan[iy * iw + ix] += g;
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        for (int64_t in = nb; in < ne; ++in)
+            avgPool2dPatchBackward(grad_out.data() + in * c * oh * ow, oh,
+                                   ow, c, ih, iw, PatchView::full(ih, iw),
+                                   win, grad_x.data() + in * c * ih * iw);
     });
     return grad_x;
 }
@@ -201,7 +129,7 @@ void
 maxPool2dPatch(const float *img, int64_t c, int64_t ih, int64_t iw,
                const PatchView &view, const Window2d &win, float *out,
                int64_t out_oh, int64_t out_ow, int64_t oy0,
-               int64_t ox0)
+               int64_t ox0, int64_t *argmax, int64_t argmax_base)
 {
     const int64_t oh_p = win.outH(view.ih);
     const int64_t ow_p = win.outW(view.iw);
@@ -209,12 +137,13 @@ maxPool2dPatch(const float *img, int64_t c, int64_t ih, int64_t iw,
                           oy0, ox0, oh_p, ow_p);
     for (int64_t ic = 0; ic < c; ++ic) {
         const float *chan = img + ic * ih * iw;
-        float *ochan = out + ic * out_oh * out_ow;
+        const int64_t row0 = ic * out_oh * out_ow + oy0 * out_ow + ox0;
         for (int64_t oy = 0; oy < oh_p; ++oy) {
-            float *orow = ochan + (oy0 + oy) * out_ow + ox0;
+            float *orow = out + row0 + oy * out_ow;
+            int64_t *arow = argmax + row0 + oy * out_ow;
             for (int64_t ox = 0; ox < ow_p; ++ox) {
                 float best = -std::numeric_limits<float>::infinity();
-                bool found = false;
+                int64_t best_off = -1;
                 for (int64_t ky = 0; ky < win.kh; ++ky) {
                     const int64_t iy = oy * win.sh - win.ph_b + ky;
                     if (iy < 0 || iy >= view.ih)
@@ -223,17 +152,22 @@ maxPool2dPatch(const float *img, int64_t c, int64_t ih, int64_t iw,
                         const int64_t ix = ox * win.sw - win.pw_b + kx;
                         if (ix < 0 || ix >= view.iw)
                             continue;
-                        const float v =
-                            chan[view.parentOffset(iy, ix, iw)];
+                        const int64_t off =
+                            view.parentOffset(iy, ix, iw);
+                        const float v = chan[off];
                         // Same comparison as maxPool2dForward, so
-                        // NaN-laden windows resolve identically.
+                        // ties and NaN-laden windows resolve
+                        // identically.
                         if (v > best) {
                             best = v;
-                            found = true;
+                            best_off = off;
                         }
                     }
                 }
-                orow[ox] = found ? best : 0.0f;
+                orow[ox] = best_off < 0 ? 0.0f : best;
+                arow[ox] = best_off < 0
+                               ? -1
+                               : argmax_base + ic * ih * iw + best_off;
             }
         }
     }
@@ -270,6 +204,35 @@ avgPool2dPatch(const float *img, int64_t c, int64_t ih, int64_t iw,
                 orow[ox] = acc * inv_area;
             }
         }
+    }
+}
+
+void
+avgPool2dPatchBackward(const float *grad_out, int64_t out_oh,
+                       int64_t out_ow, int64_t c, int64_t ih, int64_t iw,
+                       const PatchView &view, const Window2d &win,
+                       float *grad_img)
+{
+    const int64_t oh_p = win.outH(view.ih);
+    const int64_t ow_p = win.outW(view.iw);
+    const float inv_area = 1.0f / static_cast<float>(win.kh * win.kw);
+    for (int64_t ic = 0; ic < c; ++ic) {
+        float *chan = grad_img + ic * ih * iw;
+        const float *gchan = grad_out + ic * out_oh * out_ow;
+        for (int64_t oy = 0; oy < oh_p; ++oy)
+            for (int64_t ox = 0; ox < ow_p; ++ox) {
+                const float g = gchan[oy * out_ow + ox] * inv_area;
+                for (int64_t ky = 0; ky < win.kh; ++ky) {
+                    const int64_t iy = oy * win.sh - win.ph_b + ky;
+                    if (iy < 0 || iy >= view.ih)
+                        continue;
+                    for (int64_t kx = 0; kx < win.kw; ++kx) {
+                        const int64_t ix = ox * win.sw - win.pw_b + kx;
+                        if (ix >= 0 && ix < view.iw)
+                            chan[view.parentOffset(iy, ix, iw)] += g;
+                    }
+                }
+            }
     }
 }
 

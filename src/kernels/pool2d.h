@@ -49,10 +49,9 @@ Tensor avgPool2dBackward(const Shape &x_shape, const Tensor &grad_out,
  * image straight out of parent memory (window taps outside the view
  * read as the split scheme's zero padding) and write the result into
  * the patch's block of the parent output — no pad2d input copy, no
- * per-patch output tensor, no concat. The clip tests and the
- * tap-visit order are byte-for-byte the ones maxPool2dForward /
- * avgPool2dForward apply to a materialized patch, so the fused and
- * materializing split-pool paths produce identical bits.
+ * per-patch output tensor, no concat. The unsplit kernels run them
+ * with the whole image as the patch, so a split patch gets exactly
+ * the bytes its materialized copy would.
  */
 ///@{
 /**
@@ -64,13 +63,16 @@ Tensor avgPool2dBackward(const Shape &x_shape, const Tensor &grad_out,
  * @param out parent output image base, [C, out_oh, out_ow].
  * @param oy0,ox0 where the patch's output block starts in @p out.
  *
- * All-padding windows write 0, matching maxPool2dForward. No argmax:
- * the fused path serves forward-only (inference) execution.
+ * @param argmax laid out like @p out: each written output's slot
+ *        receives @p argmax_base plus the max's offset in @p img
+ *        (-1 for an all-padding window, which writes 0 — both
+ *        matching maxPool2dForward).
  */
 void maxPool2dPatch(const float *img, int64_t c, int64_t ih,
                     int64_t iw, const PatchView &view,
                     const Window2d &win, float *out, int64_t out_oh,
-                    int64_t out_ow, int64_t oy0, int64_t ox0);
+                    int64_t out_ow, int64_t oy0, int64_t ox0,
+                    int64_t *argmax, int64_t argmax_base);
 
 /** Average-pool one image's patch; count_include_pad semantics like
  * avgPool2dForward (every window divides by kh*kw). */
@@ -78,6 +80,17 @@ void avgPool2dPatch(const float *img, int64_t c, int64_t ih,
                     int64_t iw, const PatchView &view,
                     const Window2d &win, float *out, int64_t out_oh,
                     int64_t out_ow, int64_t oy0, int64_t ox0);
+
+/** The exact adjoint of avgPool2dPatch: scatter-add the patch's
+ * gradient block (@p grad_out points at its first element, rows
+ * @p out_ow and channels @p out_oh * @p out_ow apart) into the
+ * parent gradient image through the view. Every in-view tap of an
+ * output receives grad * 1/(kh*kw); out-of-view taps are padding
+ * and get nothing, exactly as the forward reads them as zero. */
+void avgPool2dPatchBackward(const float *grad_out, int64_t out_oh,
+                            int64_t out_ow, int64_t c, int64_t ih,
+                            int64_t iw, const PatchView &view,
+                            const Window2d &win, float *grad_img);
 ///@}
 
 /** Global average pool: [N, C, H, W] -> [N, C, 1, 1]. */

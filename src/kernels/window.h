@@ -51,13 +51,15 @@ struct Window2d
     /** Output width for an input of width @p iw. */
     int64_t outW(int64_t iw) const { return outExtent(iw, kw, sw, pw_b, pw_e); }
 
+    bool operator==(const Window2d &) const = default;
+
     std::string toString() const;
 };
 
 /**
  * A rectangular patch of a parent image, addressed zero-copy: the
  * patch is parent[r0 : r0+ih, c0 : c0+iw]. The halo-aware split
- * kernels (im2colView, conv2dWinogradPatch) read parent memory
+ * kernels (im2colViewStrided, conv2dWinogradPatch) read parent memory
  * through this view via strided offsets instead of materializing a
  * padded per-patch tensor.
  */

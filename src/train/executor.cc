@@ -4,6 +4,8 @@
 #include <cmath>
 
 #include "analysis/parallel_model.h"
+#include "core/split_op.h"
+#include "core/splitter.h"
 #include "kernels/activations.h"
 #include "kernels/conv2d.h"
 #include "kernels/linear.h"
@@ -88,145 +90,198 @@ ParamStore::compatibleWith(const Graph &graph) const
     return true;
 }
 
-std::vector<std::vector<NodeId>>
-computeExecutionWaves(const Graph &graph)
+LoweredGraph
+lowerGraph(const Graph &graph)
 {
-    std::vector<int64_t> tensor_level(graph.tensors().size(), 0);
-    std::vector<std::vector<NodeId>> waves;
+    LoweredGraph lowered;
+    for (const TensorInfo &t : graph.tensors())
+        lowered.slot_shapes.push_back(t.shape);
+    const std::optional<SplitRegion> region = recoverSplitRegion(graph);
+    std::vector<bool> in_region(graph.nodes().size(), false);
+    if (region) {
+        for (NodeId id : region->slices)
+            in_region[static_cast<size_t>(id)] = true;
+        for (NodeId id : region->joins)
+            in_region[static_cast<size_t>(id)] = true;
+        for (const SplitRegionLayer &layer : region->layers)
+            for (NodeId id : layer.clones)
+                in_region[static_cast<size_t>(id)] = true;
+    }
+
+    bool region_emitted = false;
     for (NodeId id : graph.topoOrder()) {
         const Node &n = graph.node(id);
+        if (!in_region[static_cast<size_t>(id)]) {
+            ExecNode e;
+            e.node = id;
+            e.win = n.win;
+            e.inputs.assign(n.inputs.begin(), n.inputs.end());
+            e.output = n.output;
+            lowered.nodes.push_back(std::move(e));
+            continue;
+        }
+        if (region_emitted)
+            continue;
+        // The whole region runs where its first node sits: it reads
+        // only the sliced tensor, which is produced before any Slice.
+        region_emitted = true;
+        std::vector<int64_t> layer_slot;
+        for (size_t k = 0; k < region->layers.size(); ++k) {
+            const SplitRegionLayer &layer = region->layers[k];
+            int64_t slot = region->join;
+            if (k + 1 < region->layers.size()) {
+                slot = static_cast<int64_t>(lowered.slot_shapes.size());
+                lowered.slot_shapes.push_back(layer.out_shape);
+            }
+            layer_slot.push_back(slot);
+            ExecNode e;
+            e.node = layer.clones[0];
+            e.clones = layer.clones;
+            e.scheme = layer.scheme;
+            e.win = layer.win;
+            for (int src : layer.inputs)
+                e.inputs.push_back(
+                    src < 0 ? region->input
+                            : layer_slot[static_cast<size_t>(src)]);
+            e.output = slot;
+            lowered.nodes.push_back(std::move(e));
+        }
+    }
+    return lowered;
+}
+
+std::vector<std::vector<size_t>>
+computeExecutionWaves(const LoweredGraph &lowered)
+{
+    std::vector<int64_t> slot_level(lowered.slot_shapes.size(), 0);
+    std::vector<std::vector<size_t>> waves;
+    for (size_t i = 0; i < lowered.nodes.size(); ++i) {
+        const ExecNode &e = lowered.nodes[i];
         int64_t level = 0;
-        for (TensorId t : n.inputs)
+        for (int64_t t : e.inputs)
             level = std::max(level,
-                             tensor_level[static_cast<size_t>(t)] + 1);
-        tensor_level[static_cast<size_t>(n.output)] = level;
+                             slot_level[static_cast<size_t>(t)] + 1);
+        slot_level[static_cast<size_t>(e.output)] = level;
         if (static_cast<size_t>(level) >= waves.size())
             waves.resize(static_cast<size_t>(level) + 1);
-        waves[static_cast<size_t>(level)].push_back(id);
+        waves[static_cast<size_t>(level)].push_back(i);
     }
     return waves;
 }
 
 Executor::Executor(const Graph &graph, ParamStore &params)
-    : graph_(graph), params_(params), topo_(graph.topoOrder()),
-      waves_(computeExecutionWaves(graph))
+    : graph_(graph), params_(params), lowered_(lowerGraph(graph)),
+      waves_(computeExecutionWaves(lowered_))
 {
     SCNN_REQUIRE(params_.compatibleWith(graph_),
                  "parameter store incompatible with graph");
-    // Debug hook: prove the wave schedule race-free before the first
-    // forward() runs it. Training mode is the superset model (it adds
-    // the deferred BN running-stat epochs).
+    // Debug hook: prove the wave schedule and every region node's
+    // split kernels race-free before the first forward() runs them.
+    // Training mode is the superset model (it adds the deferred BN
+    // running-stat epochs).
     if (lintParallelEnabled()) {
-        const std::vector<Diagnostic> diags =
-            analyzeParallelPlan(buildExecutorWavePlan(graph_, true));
-        SCNN_CHECK(diags.empty(),
-                   "parallel-safety lint: "
-                       << diags.size()
-                       << " finding(s) in the executor wave plan; "
-                          "first: "
-                       << diags.front().toString());
+        auto plans = buildRegionNodePlans(graph_);
+        plans.emplace_back(-1, buildExecutorWavePlan(graph_, true));
+        for (const auto &[node, plan] : plans) {
+            const std::vector<Diagnostic> diags =
+                analyzeParallelPlan(plan);
+            SCNN_CHECK(diags.empty(),
+                       "parallel-safety lint: "
+                           << diags.size() << " finding(s) in "
+                           << plan.name << "; first: "
+                           << diags.front().toString());
+        }
     }
 }
 
 Tensor
-Executor::computeNode(const Node &n, const Tensor &input, bool training,
-                      bool defer_bn_updates, ForwardCache &c)
+Executor::computeNode(const ExecNode &e, const Tensor &input,
+                      bool training, ForwardCache &c)
 {
-    auto val = [&](TensorId t) -> const Tensor & {
+    const Node &n = graph_.node(e.node);
+    auto val = [&](size_t j) -> const Tensor & {
+        const int64_t t = e.inputs[j];
         SCNN_CHECK(c.values[static_cast<size_t>(t)].has_value(),
-                   "tensor t" << t << " not yet computed");
+                   "value slot " << t << " not yet computed");
         return *c.values[static_cast<size_t>(t)];
     };
+    const Shape &out_shape =
+        lowered_.slot_shapes[static_cast<size_t>(e.output)];
 
     Tensor out;
     switch (n.kind) {
       case OpKind::Input:
-        SCNN_REQUIRE(input.shape() == graph_.tensor(n.output).shape,
-                     "input shape "
-                         << input.shape().toString()
-                         << " != graph input "
-                         << graph_.tensor(n.output).shape.toString());
+        SCNN_REQUIRE(input.shape() == out_shape,
+                     "input shape " << input.shape().toString()
+                                    << " != graph input "
+                                    << out_shape.toString());
         out = input;
         break;
-      case OpKind::Conv2d:
-        out = conv2dForwardAuto(
-            val(n.inputs[0]), params_.value(n.params[0]),
-            n.has_bias ? params_.value(n.params[1]) : Tensor(),
-            n.win);
+      case OpKind::Conv2d: {
+        const Tensor &w = params_.value(n.params[0]);
+        const Tensor b =
+            n.has_bias ? params_.value(n.params[1]) : Tensor();
+        out = e.isRegion()
+                  ? splitConv2dForward(val(0), w, b, e.win, e.scheme)
+                  : conv2dForwardAuto(val(0), w, b, e.win);
         break;
-      case OpKind::MaxPool2d:
-        out = maxPool2dForward(val(n.inputs[0]), n.win,
-                               c.argmax[static_cast<size_t>(n.id)]);
+      }
+      case OpKind::MaxPool2d: {
+        auto &argmax = c.argmax[static_cast<size_t>(n.id)];
+        out = e.isRegion()
+                  ? splitMaxPool2dForward(val(0), e.win, e.scheme, argmax)
+                  : maxPool2dForward(val(0), e.win, argmax);
         break;
+      }
       case OpKind::AvgPool2d:
-        out = avgPool2dForward(val(n.inputs[0]), n.win);
+        out = e.isRegion()
+                  ? splitAvgPool2dForward(val(0), e.win, e.scheme)
+                  : avgPool2dForward(val(0), e.win);
         break;
       case OpKind::GlobalAvgPool:
-        out = globalAvgPoolForward(val(n.inputs[0]));
+        out = globalAvgPoolForward(val(0));
         break;
-      case OpKind::BatchNorm:
-        if (training && defer_bn_updates) {
-            // Batch stats only; the caller applies the running-stat
-            // updates serially afterwards. Required when nodes
-            // sharing running stats (split-graph patch clones) run
-            // concurrently.
-            out = batchNormForwardStats(
-                val(n.inputs[0]), params_.value(n.params[0]),
-                params_.value(n.params[1]), 1e-5f,
-                c.bn[static_cast<size_t>(n.id)]);
-        } else if (training) {
-            out = batchNormForward(
-                val(n.inputs[0]), params_.value(n.params[0]),
-                params_.value(n.params[1]),
-                params_.value(n.params[2]),
-                params_.value(n.params[3]), 0.1f, 1e-5f,
-                c.bn[static_cast<size_t>(n.id)]);
-        } else {
-            out = batchNormInference(val(n.inputs[0]),
-                                     params_.value(n.params[0]),
-                                     params_.value(n.params[1]),
+      case OpKind::BatchNorm: {
+        const Tensor &gamma = params_.value(n.params[0]);
+        const Tensor &beta = params_.value(n.params[1]);
+        auto &bn = c.bn[static_cast<size_t>(n.id)];
+        if (!training) // elementwise: per patch or whole, same bytes
+            out = batchNormInference(val(0), gamma, beta,
                                      params_.value(n.params[2]),
-                                     params_.value(n.params[3]),
-                                     1e-5f);
-        }
+                                     params_.value(n.params[3]), 1e-5f);
+        else if (e.isRegion())
+            out = splitBatchNormForwardStats(
+                val(0), splitPatchViews(e.scheme), gamma, beta, 1e-5f,
+                bn);
+        else
+            out = batchNormForwardStats(val(0), gamma, beta, 1e-5f, bn);
         break;
+      }
       case OpKind::ReLU:
-        out = reluForward(val(n.inputs[0]));
+        out = reluForward(val(0));
         break;
       case OpKind::Linear:
-        out = linearForward(val(n.inputs[0]),
-                            params_.value(n.params[0]),
+        out = linearForward(val(0), params_.value(n.params[0]),
                             n.has_bias ? params_.value(n.params[1])
                                        : Tensor());
         break;
       case OpKind::Flatten:
-        out = val(n.inputs[0]).reshape(graph_.tensor(n.output).shape);
+        out = val(0).reshape(out_shape);
         break;
-      case OpKind::Add: {
-        out = val(n.inputs[0]);
-        for (size_t i = 1; i < n.inputs.size(); ++i)
-            axpy(1.0f, val(n.inputs[i]), out);
+      case OpKind::Add:
+        out = val(0);
+        for (size_t i = 1; i < e.inputs.size(); ++i)
+            axpy(1.0f, val(i), out);
         break;
-      }
-      case OpKind::Slice: {
-        const Tensor &x = val(n.inputs[0]);
-        out = pad2d(x, -n.h_start, n.h_end - x.shape().dim(2),
-                    -n.w_start, n.w_end - x.shape().dim(3));
-        break;
-      }
-      case OpKind::Concat: {
-        std::vector<Tensor> parts;
-        parts.reserve(n.inputs.size());
-        for (TensorId t : n.inputs)
-            parts.push_back(val(t));
-        out = concatDim(parts, n.concat_dim);
-        break;
-      }
+      case OpKind::Slice:
+      case OpKind::Concat:
+        SCNN_PANIC("node " << n.name
+                           << " should have been lowered into its "
+                              "split region");
     }
-    SCNN_CHECK(out.shape() == graph_.tensor(n.output).shape,
-               "node " << n.name << " produced "
-                       << out.shape().toString() << ", expected "
-                       << graph_.tensor(n.output).shape.toString());
+    SCNN_CHECK(out.shape() == out_shape,
+               "node " << n.name << " produced " << out.shape().toString()
+                       << ", expected " << out_shape.toString());
     return out;
 }
 
@@ -235,70 +290,56 @@ Executor::forward(const Tensor &input, bool training, ForwardCache *cache)
 {
     ForwardCache local;
     ForwardCache &c = cache ? *cache : local;
-    c.values.assign(graph_.tensors().size(), std::nullopt);
+    c.values.assign(lowered_.slot_shapes.size(), std::nullopt);
     c.argmax.assign(graph_.nodes().size(), {});
     c.bn.assign(graph_.nodes().size(), {});
 
-    if (globalThreads() <= 1) {
-        // Serial path: identical to the seed executor.
-        for (NodeId id : topo_) {
-            const Node &n = graph_.node(id);
-            Tensor out = computeNode(n, input, training,
-                                     /*defer_bn_updates=*/false, c);
-            c.values[static_cast<size_t>(n.output)] = std::move(out);
+    auto run = [&](size_t i) {
+        const ExecNode &e = lowered_.nodes[i];
+        c.values[static_cast<size_t>(e.output)] =
+            computeNode(e, input, training, c);
+    };
+    auto &pool = globalPool();
+    for (const auto &wave : waves_) {
+        // Nodes within a wave are independent and write disjoint
+        // cache slots, so a wide wave fans out across the pool. A
+        // wave runs serially on the caller instead when it has fewer
+        // nodes than workers or holds a region node: nested
+        // parallelFor calls run inline on their worker, so fanning
+        // out would strand each node's internal kernel parallelism
+        // (GEMM column tiles, split band and patch items) on one
+        // thread. Outputs are unchanged either way: kernels are
+        // bitwise-deterministic for any thread count.
+        const bool serial =
+            static_cast<int>(wave.size()) < pool.threads() ||
+            std::any_of(wave.begin(), wave.end(), [&](size_t i) {
+                return lowered_.nodes[i].isRegion();
+            });
+        if (serial) {
+            for (size_t i : wave)
+                run(i);
+            continue;
         }
-    } else {
-        // Wave-parallel path: nodes within a wave are independent and
-        // write disjoint cache slots, so each wave fans out across
-        // the pool. Batchnorm running-stat updates are deferred and
-        // applied serially below in topological order — training-mode
-        // BN never reads running stats, so outputs are unchanged and
-        // the updates compound exactly as the serial path's.
-        auto &pool = globalPool();
-        for (const auto &wave : waves_) {
-            if (static_cast<int>(wave.size()) < pool.threads()) {
-                // Narrow wave: fewer nodes than workers. Nested
-                // parallelFor calls run inline on their worker, so
-                // fanning such a wave across the pool would strand
-                // each node's internal kernel parallelism (GEMM
-                // column tiles, split patch x row-tile items) on a
-                // single thread. Run the nodes serially on the
-                // caller instead so every kernel sees the full pool.
-                // Outputs are unchanged either way: kernels are
-                // bitwise-deterministic for any thread count.
-                for (NodeId id : wave) {
-                    const Node &n = graph_.node(id);
-                    Tensor out =
-                        computeNode(n, input, training,
-                                    /*defer_bn_updates=*/true, c);
-                    c.values[static_cast<size_t>(n.output)] =
-                        std::move(out);
-                }
-                continue;
-            }
-            pool.parallelFor(
-                static_cast<int64_t>(wave.size()),
-                [&](int64_t begin, int64_t end) {
-                    for (int64_t i = begin; i < end; ++i) {
-                        const Node &n = graph_.node(
-                            wave[static_cast<size_t>(i)]);
-                        Tensor out =
-                            computeNode(n, input, training,
-                                        /*defer_bn_updates=*/true, c);
-                        c.values[static_cast<size_t>(n.output)] =
-                            std::move(out);
-                    }
-                });
-        }
-        if (training) {
-            for (NodeId id : topo_) {
-                const Node &n = graph_.node(id);
-                if (n.kind == OpKind::BatchNorm)
-                    applyBatchNormRunningUpdate(
-                        c.bn[static_cast<size_t>(id)], 0.1f,
-                        params_.value(n.params[2]),
-                        params_.value(n.params[3]));
-            }
+        pool.parallelFor(static_cast<int64_t>(wave.size()),
+                         [&](int64_t begin, int64_t end) {
+                             for (int64_t k = begin; k < end; ++k)
+                                 run(wave[static_cast<size_t>(k)]);
+                         });
+    }
+    // Batchnorm running-stat updates, applied serially in topological
+    // order once every wave is done (a split layer's per-patch rows
+    // in ascending patch order). Training-mode BN never reads running
+    // stats, so outputs are unchanged and the updates compound
+    // exactly as a serial walk over the per-patch graph's clones
+    // would — whichever nodes shared a wave.
+    if (training) {
+        for (const ExecNode &e : lowered_.nodes) {
+            const Node &n = graph_.node(e.node);
+            if (n.kind == OpKind::BatchNorm)
+                applyBatchNormRunningUpdate(
+                    c.bn[static_cast<size_t>(n.id)], 0.1f,
+                    params_.value(n.params[2]),
+                    params_.value(n.params[3]));
         }
     }
 
@@ -311,16 +352,19 @@ Executor::forward(const Tensor &input, bool training, ForwardCache *cache)
 void
 Executor::backward(const ForwardCache &cache, const Tensor &grad_output)
 {
-    std::vector<std::optional<Tensor>> grads(graph_.tensors().size());
+    std::vector<std::optional<Tensor>> grads(lowered_.slot_shapes.size());
     const TensorId out_id = graph_.outputTensor();
     SCNN_REQUIRE(grad_output.shape() == graph_.tensor(out_id).shape,
                  "grad_output shape mismatch");
     grads[static_cast<size_t>(out_id)] = grad_output;
 
-    auto val = [&](TensorId t) -> const Tensor & {
+    auto val = [&](int64_t t) -> const Tensor & {
         return *cache.values[static_cast<size_t>(t)];
     };
-    auto accum = [&](TensorId t, Tensor g) {
+    auto shapeOf = [&](int64_t t) -> const Shape & {
+        return lowered_.slot_shapes[static_cast<size_t>(t)];
+    };
+    auto accum = [&](int64_t t, Tensor g) {
         auto &slot = grads[static_cast<size_t>(t)];
         if (slot.has_value())
             axpy(1.0f, g, *slot);
@@ -328,14 +372,17 @@ Executor::backward(const ForwardCache &cache, const Tensor &grad_output)
             slot = std::move(g);
     };
 
-    for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
-        const Node &n = graph_.node(*it);
+    for (auto it = lowered_.nodes.rbegin(); it != lowered_.nodes.rend();
+         ++it) {
+        const ExecNode &e = *it;
+        const Node &n = graph_.node(e.node);
         if (n.kind == OpKind::Input)
             continue;
-        auto &gslot = grads[static_cast<size_t>(n.output)];
+        auto &gslot = grads[static_cast<size_t>(e.output)];
         if (!gslot.has_value())
             continue; // output never influenced the loss
         const Tensor &go = *gslot;
+        const int64_t in0 = e.inputs[0];
 
         switch (n.kind) {
           case OpKind::Input:
@@ -346,84 +393,69 @@ Executor::backward(const ForwardCache &cache, const Tensor &grad_output)
             Tensor gb_empty;
             Tensor &gb =
                 n.has_bias ? params_.grad(n.params[1]) : gb_empty;
-            conv2dBackward(val(n.inputs[0]),
-                           params_.value(n.params[0]), go, n.win, gx,
-                           gw, gb);
-            accum(n.inputs[0], std::move(gx));
+            const Tensor &w = params_.value(n.params[0]);
+            if (e.isRegion())
+                splitConv2dBackward(val(in0), w, go, e.win, e.scheme, gx,
+                                    gw, gb);
+            else
+                conv2dBackward(val(in0), w, go, e.win, gx, gw, gb);
+            accum(in0, std::move(gx));
             break;
           }
-          case OpKind::MaxPool2d:
-            accum(n.inputs[0],
-                  maxPool2dBackward(
-                      graph_.tensor(n.inputs[0]).shape, go,
-                      cache.argmax[static_cast<size_t>(n.id)]));
+          case OpKind::MaxPool2d: {
+            const auto &argmax = cache.argmax[static_cast<size_t>(n.id)];
+            accum(in0, e.isRegion()
+                           ? splitMaxPool2dBackward(shapeOf(in0), go,
+                                                    argmax, e.scheme)
+                           : maxPool2dBackward(shapeOf(in0), go, argmax));
             break;
+          }
           case OpKind::AvgPool2d:
-            accum(n.inputs[0],
-                  avgPool2dBackward(graph_.tensor(n.inputs[0]).shape,
-                                    go, n.win));
+            accum(in0, e.isRegion()
+                           ? splitAvgPool2dBackward(shapeOf(in0), go,
+                                                    e.win, e.scheme)
+                           : avgPool2dBackward(shapeOf(in0), go, e.win));
             break;
           case OpKind::GlobalAvgPool:
-            accum(n.inputs[0],
-                  globalAvgPoolBackward(
-                      graph_.tensor(n.inputs[0]).shape, go));
+            accum(in0, globalAvgPoolBackward(shapeOf(in0), go));
             break;
           case OpKind::BatchNorm: {
-            Tensor gx = batchNormBackward(
-                go, params_.value(n.params[0]),
-                cache.bn[static_cast<size_t>(n.id)],
-                params_.grad(n.params[0]), params_.grad(n.params[1]));
-            accum(n.inputs[0], std::move(gx));
+            const Tensor &gamma = params_.value(n.params[0]);
+            const BatchNormCache &bn = cache.bn[static_cast<size_t>(n.id)];
+            Tensor &gg = params_.grad(n.params[0]);
+            Tensor &gbeta = params_.grad(n.params[1]);
+            accum(in0, e.isRegion()
+                           ? splitBatchNormBackward(
+                                 go, splitPatchViews(e.scheme), gamma, bn,
+                                 gg, gbeta)
+                           : batchNormBackward(go, gamma, bn, gg, gbeta));
             break;
           }
           case OpKind::ReLU:
-            accum(n.inputs[0], reluBackward(val(n.output), go));
+            accum(in0, reluBackward(val(e.output), go));
             break;
           case OpKind::Linear: {
             Tensor gx;
             Tensor gb_empty;
             Tensor &gb =
                 n.has_bias ? params_.grad(n.params[1]) : gb_empty;
-            linearBackward(val(n.inputs[0]),
-                           params_.value(n.params[0]), go, gx,
+            linearBackward(val(in0), params_.value(n.params[0]), go, gx,
                            params_.grad(n.params[0]), gb);
-            accum(n.inputs[0], std::move(gx));
+            accum(in0, std::move(gx));
             break;
           }
           case OpKind::Flatten:
-            accum(n.inputs[0],
-                  go.reshape(graph_.tensor(n.inputs[0]).shape));
+            accum(in0, go.reshape(shapeOf(in0)));
             break;
           case OpKind::Add:
-            for (TensorId t : n.inputs)
+            for (int64_t t : e.inputs)
                 accum(t, go);
             break;
-          case OpKind::Slice: {
-            // Scatter-accumulate the patch gradient straight into the
-            // parent slot — no full-canvas intermediate. Sibling
-            // patches of one parent run in reverse topological order,
-            // so halo overlaps accumulate deterministically.
-            const Shape &in_shape = graph_.tensor(n.inputs[0]).shape;
-            auto &slot = grads[static_cast<size_t>(n.inputs[0])];
-            if (!slot.has_value())
-                slot = Tensor(in_shape); // zero scatter target
-            addWindow2d(go, n.h_start, n.w_start, *slot);
-            break;
-          }
-          case OpKind::Concat: {
-            // Split the gradient back into the input extents.
-            std::vector<int64_t> starts;
-            starts.reserve(n.inputs.size());
-            int64_t cursor = 0;
-            for (TensorId t : n.inputs) {
-                starts.push_back(cursor);
-                cursor += graph_.tensor(t).shape.dim(n.concat_dim);
-            }
-            auto pieces = splitDim(go, n.concat_dim, starts);
-            for (size_t i = 0; i < n.inputs.size(); ++i)
-                accum(n.inputs[i], std::move(pieces[i]));
-            break;
-          }
+          case OpKind::Slice:
+          case OpKind::Concat:
+            SCNN_PANIC("node " << n.name
+                               << " should have been lowered into its "
+                                  "split region");
         }
         gslot.reset(); // free the consumed gradient early
     }

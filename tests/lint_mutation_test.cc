@@ -392,6 +392,27 @@ cleanConvPlan()
     return buildSplitConvPlan(1, 3, 16, 16, 4, win, scheme);
 }
 
+/** The executor wave plan of a 2x2-split VGG-19: region nodes, and
+ * one serial running-stat update per patch of every split BN. */
+ParallelPlan
+splitWavePlan()
+{
+    static const Graph split = splitCnnTransform(
+        Fixture::instance().graph,
+        {.depth = 0.5, .splits_h = 2, .splits_w = 2});
+    return buildExecutorWavePlan(split, true);
+}
+
+ParallelPlan
+cleanBatchNormPlan()
+{
+    const Window2d win = Window2d::square(3, 1, 1);
+    const auto scheme = splitWindowOp2d(
+        win, 16, 16, evenOutputSplit(win.outH(16), 2),
+        evenOutputSplit(win.outW(16), 2), InputSplitPolicy::Center);
+    return buildSplitBatchNormPlan(2, 3, 16, 16, splitPatchViews(scheme));
+}
+
 ParallelPlan
 cleanPoolPlan()
 {
@@ -405,8 +426,9 @@ cleanPoolPlan()
 TEST(LintMutation, ParallelBaselinesAreClean)
 {
     for (const ParallelPlan &plan :
-         {cleanConvPlan(), cleanPoolPlan(),
-          buildExecutorWavePlan(Fixture::instance().graph, true)}) {
+         {cleanConvPlan(), cleanPoolPlan(), cleanBatchNormPlan(),
+          buildExecutorWavePlan(Fixture::instance().graph, true),
+          splitWavePlan()}) {
         const auto diags = analyzeParallelPlan(plan);
         EXPECT_FALSE(hasErrors(diags))
             << plan.name << ":\n"
@@ -476,13 +498,11 @@ TEST(LintMutation, ForeignArenaAccessIsSA604)
     EXPECT_TRUE(expectOnlyCode(analyzeParallelPlan(bad), "SA604"));
 }
 
-TEST(LintMutation, ReadBeforeWriteIsSA605)
+/** Give the earliest-wave item of @p plan a read of a slot only
+ * produced in the last wave. */
+void
+addPrematureRead(ParallelPlan &bad)
 {
-    ParallelPlan bad =
-        buildExecutorWavePlan(Fixture::instance().graph, true);
-    // Give the earliest-wave item a read of a slot only produced in
-    // the last wave: the happens-before proof over the ordered slot
-    // region must reject it (different epochs, so no SA601).
     size_t reader = 0, writer = 0;
     int64_t lo = INT64_MAX, hi = INT64_MIN;
     for (size_t i = 0; i < bad.items.size(); ++i) {
@@ -510,7 +530,19 @@ TEST(LintMutation, ReadBeforeWriteIsSA605)
         if (a.region == 0 && a.write)
             premature.span = a.span;
     bad.items[reader].accesses.push_back(premature);
-    EXPECT_TRUE(expectOnlyCode(analyzeParallelPlan(bad), "SA605"));
+}
+
+TEST(LintMutation, ReadBeforeWriteIsSA605)
+{
+    // The happens-before proof over the ordered slot region must
+    // reject a read of a later wave's slot (different epochs, so no
+    // SA601) — on the unsplit schedule and on the lowered split one.
+    for (ParallelPlan bad :
+         {buildExecutorWavePlan(Fixture::instance().graph, true),
+          splitWavePlan()}) {
+        addPrematureRead(bad);
+        EXPECT_TRUE(expectOnlyCode(analyzeParallelPlan(bad), "SA605"));
+    }
 }
 
 TEST(LintMutation, ReorderedBnUpdateIsSA606)
@@ -531,6 +563,24 @@ TEST(LintMutation, ReorderedBnUpdateIsSA606)
     b.accesses = a.accesses; // now share running-stat slots
     std::swap(a.seq, b.seq); // epoch order vs serial order disagree
     EXPECT_TRUE(expectOnlyCode(analyzeParallelPlan(bad), "SA606"));
+}
+
+TEST(LintMutation, ReorderedPatchBnUpdateIsSA606)
+{
+    // A split BN layer's per-patch updates share its running-stat
+    // slots by construction; applying patch 1 before patch 0 breaks
+    // the ascending-patch order the clones' updates compound in — in
+    // the executor wave plan and in the split-BN kernel plan alike.
+    for (ParallelPlan bad : {splitWavePlan(), cleanBatchNormPlan()}) {
+        std::vector<ParallelItem *> updates;
+        for (ParallelItem &item : bad.items)
+            if (item.name.find("bn_update") != std::string::npos)
+                updates.push_back(&item);
+        ASSERT_GE(updates.size(), 2u) << bad.name;
+        std::swap(updates[0]->seq, updates[1]->seq);
+        EXPECT_TRUE(expectOnlyCode(analyzeParallelPlan(bad), "SA606"))
+            << bad.name;
+    }
 }
 
 TEST(LintMutation, BandCoverageGapIsSA608)

@@ -379,15 +379,13 @@ TEST(ParallelDeterminism, SplitConvBackwardBitwiseAcrossThreads)
         Tensor gw1(w.shape());
         {
             ThreadGuard g(1);
-            splitConv2dBackwardFused(x, w, go, win, scheme, gx1, gw1,
-                                     gb1);
+            splitConv2dBackward(x, w, go, win, scheme, gx1, gw1, gb1);
         }
         for (int threads : {2, 4, 8}) {
             ThreadGuard g(threads);
             Tensor gx, gb(Shape{6});
             Tensor gw(w.shape());
-            splitConv2dBackwardFused(x, w, go, win, scheme, gx, gw,
-                                     gb);
+            splitConv2dBackward(x, w, go, win, scheme, gx, gw, gb);
             EXPECT_TRUE(bitwiseEqual(gx, gx1))
                 << threads << " threads, simd=" << simd;
             EXPECT_TRUE(bitwiseEqual(gw, gw1))
@@ -418,17 +416,15 @@ TEST(ParallelDeterminism, SplitPoolBackwardBitwiseAcrossThreads)
     Tensor max1, avg1;
     {
         ThreadGuard g(1);
-        max1 = splitMaxPool2dBackwardFused(x.shape(), go, argmax,
-                                           scheme);
-        avg1 = splitAvgPool2dBackwardFused(x.shape(), go, win,
-                                           scheme);
+        max1 = splitMaxPool2dBackward(x.shape(), go, argmax, scheme);
+        avg1 = splitAvgPool2dBackward(x.shape(), go, win, scheme);
     }
     for (int threads : {2, 4, 8}) {
         ThreadGuard g(threads);
-        const Tensor maxg = splitMaxPool2dBackwardFused(
+        const Tensor maxg = splitMaxPool2dBackward(
             x.shape(), go, argmax, scheme);
         const Tensor avgg =
-            splitAvgPool2dBackwardFused(x.shape(), go, win, scheme);
+            splitAvgPool2dBackward(x.shape(), go, win, scheme);
         EXPECT_TRUE(bitwiseEqual(maxg, max1)) << threads << " threads";
         EXPECT_TRUE(bitwiseEqual(avgg, avg1)) << threads << " threads";
     }

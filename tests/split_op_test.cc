@@ -1,15 +1,18 @@
 /**
  * @file
- * Property tests for eager split-op execution (Eqs. 4-7): shape
+ * Property tests for split-op execution (Eqs. 4-7): shape
  * preservation, exact equivalence for natural splits (k == s),
- * interior equivalence for overlapping windows (k > s), and the 2-D
- * four-patch construction of Figure 2.
+ * interior equivalence for overlapping windows (k > s), the 2-D
+ * four-patch construction of Figure 2, and the fused zero-copy
+ * kernels against the per-patch oracle (split_oracle.h).
  */
 #include "core/split_op.h"
 
 #include <gtest/gtest.h>
 
 #include <tuple>
+
+#include "split_oracle.h"
 
 #include "kernels/conv2d.h"
 #include "kernels/gemm.h"
@@ -68,10 +71,11 @@ TEST(SplitOp, NaturalSplitPoolIsExactlyEquivalent)
     x.fillNormal(rng, 0.0f, 1.0f);
     const Window2d win = Window2d::square(2, 2, 0);
     const auto scheme = makeScheme(win, 16, 16, 2, 2);
-    Tensor split = splitMaxPool2dForward(x, win, scheme);
-    std::vector<int64_t> argmax;
+    std::vector<int64_t> split_argmax, argmax;
+    Tensor split = splitMaxPool2dForward(x, win, scheme, split_argmax);
     Tensor ref = maxPool2dForward(x, win, argmax);
     EXPECT_TRUE(allClose(split, ref, 0.0f));
+    EXPECT_EQ(split_argmax, argmax);
 }
 
 TEST(SplitOp, NaturalSplitConvIsExactlyEquivalent)
@@ -218,14 +222,15 @@ TEST(SplitOp, SlicePatchMatchesManualCrop)
         x.at(i) = static_cast<float>(i);
     const Window2d win = Window2d::square(2, 2, 0);
     const auto scheme = makeScheme(win, 8, 8, 2, 2);
-    Tensor patch = slicePatch(x, scheme, 1, 0);
+    Tensor patch = oracle::slicePatch(x, scheme, 1, 0);
     EXPECT_EQ(patch.shape(), Shape({1, 1, 4, 4}));
     EXPECT_EQ(patch.at4(0, 0, 0, 0), x.at4(0, 0, 4, 0));
 }
 
 /**
  * Halo-geometry sweep for the fused zero-copy path: every case pits
- * the view-based execution against references on the same scheme.
+ * the view-based execution against the per-patch oracle on the same
+ * scheme.
  *
  * - under the scalar microkernel, fused im2col+GEMM is
  *   bitwise-identical to materializing each patch and running the
@@ -275,11 +280,11 @@ TEST(SplitOp, FusedIm2colMatchesMaterializedIm2col)
             Window2d::square(hc.k, hc.s, hc.p);
         const auto scheme =
             makeScheme(win, hc.ih, hc.iw, hc.nh, hc.nw);
-        // Old materializing path, pinned to the im2col kernel so the
+        // The per-patch oracle, pinned to the im2col kernel so the
         // comparison is like-for-like (Auto would pick Winograd for
         // 3x3/s1 and round differently).
         auto materialized = [&] {
-            return runSplitOp(
+            return oracle::runSplitOp(
                 x, win, scheme,
                 [&](const Tensor &patch, const Window2d &local) {
                     return conv2dForward(patch, w, b, local);
@@ -319,11 +324,11 @@ TEST(SplitOp, FusedWinogradBitwiseMatchesMaterialized)
         b.fillNormal(rng, 0.0f, 0.4f);
         const auto scheme =
             makeScheme(win, hc.ih, hc.iw, hc.nh, hc.nw);
-        // Materializing path pinned to the Winograd kernel so the
+        // The per-patch oracle pinned to the Winograd kernel so the
         // comparison is like-for-like (Auto's cost model would pick
         // im2col for these small channel counts).
         auto materialized = [&] {
-            return runSplitOp(
+            return oracle::runSplitOp(
                 x, win, scheme,
                 [&](const Tensor &patch, const Window2d &local) {
                     return conv2dForwardWinograd(patch, w, b, local);
@@ -361,21 +366,25 @@ TEST(SplitOp, FusedMatchesMaterializedWithinTolerance)
             makeScheme(win, hc.ih, hc.iw, hc.nh, hc.nw);
         Tensor fused = splitConv2dForwardFused(
             x, w, Tensor(), win, scheme, /*use_winograd=*/false);
-        Tensor ref = splitConv2dForwardMaterialized(x, w, Tensor(),
-                                                    win, scheme);
+        Tensor ref = oracle::runSplitOp(
+            x, win, scheme,
+            [&](const Tensor &patch, const Window2d &local) {
+                return conv2dForwardAuto(patch, w, Tensor(), local);
+            });
         ASSERT_EQ(fused.shape(), ref.shape()) << hc.name;
         EXPECT_TRUE(allClose(fused, ref, 1e-4f)) << hc.name;
     }
 }
 
 /**
- * Fused zero-copy split pooling vs the materializing reference, over
- * the same halo-geometry sweep as the conv tests (1px borders,
- * uneven patch grids, stride-2, 2-row halos) plus natural pool
- * shapes. The patch kernels replay maxPool2dForward /
- * avgPool2dForward's clip tests and tap order on parent memory, so
- * equality is bitwise — max selection is order-sensitive and avg
- * accumulation order fixed, no epsilon needed.
+ * Fused zero-copy split pooling vs the per-patch oracle, over the
+ * same halo-geometry sweep as the conv tests (1px borders, uneven
+ * patch grids, stride-2, 2-row halos) plus natural pool shapes. The
+ * patch kernels replay maxPool2dForward / avgPool2dForward's clip
+ * tests and tap order on parent memory, so equality is bitwise — max
+ * selection is order-sensitive and avg accumulation order fixed, no
+ * epsilon needed — and the max-pool argmax routes to the same input
+ * element.
  */
 const HaloCase kPoolCases[] = {
     {"borders_1px", 9, 9, 3, 1, 1, 3, 3},
@@ -399,11 +408,13 @@ TEST(SplitPool, FusedMaxBitwiseMatchesMaterialized)
         const Window2d win = Window2d::square(hc.k, hc.s, hc.p);
         const auto scheme =
             makeScheme(win, hc.ih, hc.iw, hc.nh, hc.nw);
-        Tensor fused = splitMaxPool2dForwardFused(x, win, scheme);
+        std::vector<int64_t> argmax, ref_argmax;
+        Tensor fused = splitMaxPool2dForward(x, win, scheme, argmax);
         Tensor ref =
-            splitMaxPool2dForwardMaterialized(x, win, scheme);
+            oracle::splitMaxPoolForward(x, win, scheme, ref_argmax);
         ASSERT_EQ(fused.shape(), ref.shape()) << hc.name;
         EXPECT_TRUE(allClose(fused, ref, 0.0f)) << hc.name;
+        EXPECT_EQ(argmax, ref_argmax) << hc.name;
     }
 }
 
@@ -417,9 +428,12 @@ TEST(SplitPool, FusedAvgBitwiseMatchesMaterialized)
         const Window2d win = Window2d::square(hc.k, hc.s, hc.p);
         const auto scheme =
             makeScheme(win, hc.ih, hc.iw, hc.nh, hc.nw);
-        Tensor fused = splitAvgPool2dForwardFused(x, win, scheme);
-        Tensor ref =
-            splitAvgPool2dForwardMaterialized(x, win, scheme);
+        Tensor fused = splitAvgPool2dForward(x, win, scheme);
+        Tensor ref = oracle::runSplitOp(
+            x, win, scheme,
+            [](const Tensor &patch, const Window2d &local) {
+                return avgPool2dForward(patch, local);
+            });
         ASSERT_EQ(fused.shape(), ref.shape()) << hc.name;
         EXPECT_TRUE(allClose(fused, ref, 0.0f)) << hc.name;
     }
@@ -436,10 +450,13 @@ TEST(SplitPool, FusedMaxHandlesAllPaddingWindows)
     // padding.
     const Window2d win = Window2d::square(2, 2, 2);
     const auto scheme = makeScheme(win, 6, 6, 2, 2);
-    Tensor fused = splitMaxPool2dForwardFused(x, win, scheme);
-    Tensor ref = splitMaxPool2dForwardMaterialized(x, win, scheme);
+    std::vector<int64_t> argmax, ref_argmax;
+    Tensor fused = splitMaxPool2dForward(x, win, scheme, argmax);
+    Tensor ref = oracle::splitMaxPoolForward(x, win, scheme, ref_argmax);
     EXPECT_TRUE(allClose(fused, ref, 0.0f));
+    EXPECT_EQ(argmax, ref_argmax);
     EXPECT_EQ(fused.at4(0, 0, 0, 0), 0.0f);
+    EXPECT_EQ(argmax[0], -1);
 }
 
 /**
@@ -496,8 +513,10 @@ TEST(SplitOp, WeightPanelCachePacksOncePerLayer)
                                              scheme, false);
     stats = splitWeightCacheStats();
     EXPECT_EQ(stats.misses, 3) << "stale entry must repack";
-    Tensor fresh =
-        splitConv2dForwardMaterialized(x, w1, Tensor(), win, scheme);
+    Tensor fresh = oracle::runSplitOp(
+        x, win, scheme, [&](const Tensor &patch, const Window2d &local) {
+            return conv2dForwardAuto(patch, w1, Tensor(), local);
+        });
     EXPECT_TRUE(allClose(updated, fresh, 1e-4f));
 
     splitWeightCacheClear();

@@ -45,9 +45,10 @@ SPEEDUP_4T_MIN = {
     "2x2": 2.5,
     "4x4": 2.5,
 }
-# Fused split pooling writes the strided parent output directly
-# (no per-patch tensors, no concat, no argmax bookkeeping), so it must
-# never lose to the unsplit pool (measured ~0.3x).
+# Fused split pooling writes the strided parent output directly (no
+# per-patch tensors, no concat); split and unsplit pooling run the
+# same patch kernel and both record the argmax, so the split pool must
+# never lose to the unsplit one (measured ~1.0x).
 SPLIT_POOL_OVERHEAD_MAX = {
     "2x2": 1.1,
     "4x4": 1.1,
