@@ -10,7 +10,7 @@
 #include <iostream>
 
 #include "bench_util.h"
-#include "core/split_scheme.h"
+#include "kernels/split_scheme.h"
 
 int
 main(int argc, char **argv)

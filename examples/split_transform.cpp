@@ -13,7 +13,7 @@
 #include <cstdio>
 
 #include "core/split_op.h"
-#include "core/split_scheme.h"
+#include "kernels/split_scheme.h"
 #include "kernels/conv2d.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"

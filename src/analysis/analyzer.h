@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "analysis/diagnostics.h"
-#include "core/split_scheme.h"
+#include "kernels/split_scheme.h"
 #include "graph/backward.h"
 #include "graph/graph.h"
 #include "hmms/plan.h"

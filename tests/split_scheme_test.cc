@@ -4,7 +4,7 @@
  * Eqs. 1-2 bounds, corrected padding formulas, patch output counts,
  * and even/stochastic output partitions.
  */
-#include "core/split_scheme.h"
+#include "kernels/split_scheme.h"
 
 #include <gtest/gtest.h>
 
