@@ -17,7 +17,10 @@
  * split ms / unsplit ms at the same thread count — the number the
  * zero-copy rewrite exists to keep near 1.0. The split_backward
  * sweep applies the same protocol to the band-fused backward pass
- * (dgrad + wgrad + bias vs the unsplit conv2dBackward).
+ * (dgrad + wgrad + bias vs the unsplit conv2dBackward). The
+ * small_spatial_conv rows time the unsplit forward + backward of the
+ * 4x4 and 2x2 layers a deep split prefix leaves behind, where the
+ * band engine groups images into one GEMM (reported, not gated).
  */
 #include <algorithm>
 #include <chrono>
@@ -32,7 +35,6 @@
 #include "kernels/gemm.h"
 #include "kernels/microkernel.h"
 #include "kernels/pool2d.h"
-#include "kernels/winograd.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
 #include "util/threadpool.h"
@@ -179,37 +181,47 @@ main(int argc, char **argv)
     }
     setGlobalThreads(1);
 
-    // --- Winograd vs im2col inside the fused split path ---------------
-    // 64-channel layer (vgg19 conv4 @ 1/8 width), 2x2 split, 1
-    // thread, kernel choice pinned on each side. 64 channels is past
-    // the cost-model crossover (c ~ 43), so auto-dispatch picks
-    // Winograd here and winograd_speedup is the factor it banks; the
-    // 16-channel conv2d_forward layer above stays on im2col.
-    double wino_ms = 0.0, wino_im2col_ms = 0.0;
+    // --- small-spatial conv: image-grouped GEMMs ---------------------
+    // The tail layers of a VGG-19 split prefix at 1/4 width: 128
+    // channels in and out on 4x4 and 2x2 maps, batch 8, 3x3 pad 1, 1
+    // thread. One image's column matrix is tiny here, so the band
+    // engine stages several images side by side per GEMM.
+    struct SmallConvResult
     {
-        Rng wrng(3);
-        Tensor wx(Shape{1, 64, 56, 56});
-        Tensor ww(Shape{64, 64, 3, 3});
-        wx.fillNormal(wrng, 0.0f, 1.0f);
-        ww.fillNormal(wrng, 0.0f, 0.1f);
-        const auto scheme = splitWindowOp2d(
-            cwin, 56, 56, evenOutputSplit(cwin.outH(56), 2),
-            evenOutputSplit(cwin.outW(56), 2));
-        wino_im2col_ms = timeIt(
-                             [&] {
-                                 Tensor out = splitConv2dForwardFused(
-                                     wx, ww, Tensor(), cwin, scheme,
-                                     false);
-                             },
-                             11) *
-                         1e3;
-        wino_ms = timeIt(
-                      [&] {
-                          Tensor out = splitConv2dForwardFused(
-                              wx, ww, Tensor(), cwin, scheme, true);
-                      },
-                      11) *
-                  1e3;
+        int64_t hw;
+        double fwd_ms, bwd_ms, gflops;
+    };
+    std::vector<SmallConvResult> small_convs;
+    for (const int64_t hw : {int64_t{4}, int64_t{2}}) {
+        Rng srng(3);
+        Tensor sx(Shape{8, 128, hw, hw});
+        Tensor sw(Shape{128, 128, 3, 3});
+        Tensor sgo(Shape{8, 128, hw, hw});
+        sx.fillNormal(srng, 0.0f, 1.0f);
+        sw.fillNormal(srng, 0.0f, 0.1f);
+        sgo.fillNormal(srng, 0.0f, 1.0f);
+        SmallConvResult r;
+        r.hw = hw;
+        r.fwd_ms = timeIt(
+                       [&] {
+                           Tensor out =
+                               conv2dForward(sx, sw, Tensor(), cwin);
+                       },
+                       11) *
+                   1e3;
+        r.bwd_ms = timeIt(
+                       [&] {
+                           Tensor gx, gb;
+                           Tensor gw(sw.shape());
+                           conv2dBackward(sx, sw, sgo, cwin, gx, gw, gb);
+                       },
+                       11) *
+                   1e3;
+        // Forward is one GEMM's worth of flops, backward two (dgrad
+        // and wgrad).
+        const double gemm_flops = 2.0 * 8 * 128 * (128 * 9) * hw * hw;
+        r.gflops = 3.0 * gemm_flops / ((r.fwd_ms + r.bwd_ms) * 1e-3) / 1e9;
+        small_convs.push_back(r);
     }
 
     // --- strided im2col staging ---------------------------------------
@@ -392,12 +404,18 @@ main(int argc, char **argv)
             i + 1 < std::size(depths) ? "," : "");
     }
     std::fprintf(f, "  },\n");
-    std::fprintf(f,
-                 "  \"winograd\": {\"workload\": \"1x64x56x56 * "
-                 "64x64x3x3, 2x2 split, 1 thread\", \"im2col_ms\": "
-                 "%.3f, \"winograd_ms\": %.3f, \"winograd_speedup\": "
-                 "%.3f},\n",
-                 wino_im2col_ms, wino_ms, wino_im2col_ms / wino_ms);
+    std::fprintf(f, "  \"small_spatial_conv\": [\n");
+    for (size_t i = 0; i < small_convs.size(); ++i) {
+        const auto &r = small_convs[i];
+        std::fprintf(f,
+                     "    {\"workload\": \"8x128x%lldx%lld * 128x128x3x3, "
+                     "1 thread\", \"forward_ms\": %.3f, "
+                     "\"backward_ms\": %.3f, \"gflops\": %.2f}%s\n",
+                     static_cast<long long>(r.hw),
+                     static_cast<long long>(r.hw), r.fwd_ms, r.bwd_ms,
+                     r.gflops, i + 1 < small_convs.size() ? "," : "");
+    }
+    std::fprintf(f, "  ],\n");
     std::fprintf(f,
                  "  \"im2col_strided\": {\"workload\": \"64x56x56, "
                  "3x3 pad 1, full view, 1 thread\", "
@@ -475,9 +493,12 @@ main(int argc, char **argv)
                     "ms, overhead %.2fx\n",
                     r.depth, r.depth, r.threads, r.split_ms,
                     r.unsplit_ms, r.overheadRatio());
-    std::printf("winograd (2x2 split, 1t): im2col %.3f ms, winograd "
-                "%.3f ms (%.2fx)\n",
-                wino_im2col_ms, wino_ms, wino_im2col_ms / wino_ms);
+    for (const auto &r : small_convs)
+        std::printf("small conv 8x128x%lldx%lld (1t): forward %.3f ms, "
+                    "backward %.3f ms, %.2f GFLOP/s\n",
+                    static_cast<long long>(r.hw),
+                    static_cast<long long>(r.hw), r.fwd_ms, r.bwd_ms,
+                    r.gflops);
     std::printf("im2col fill rate (1t): stride 1 %.2f GB/s, stride 2 "
                 "%.2f GB/s\n",
                 i2c_s1_gbps, i2c_s2_gbps);

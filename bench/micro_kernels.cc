@@ -1,7 +1,8 @@
 /**
  * @file
  * Kernel microbenchmarks (google-benchmark): GEMM, im2col
- * convolution, pooling, batchnorm, and the split/concat tensor ops
+ * convolution, pooling, batchnorm, the weight-panel cache's content
+ * hash against the pack it saves, and the split/concat tensor ops
  * that implement Split-CNN's Slice/Concat graph nodes. Not a paper
  * figure — sanity numbers for the CPU execution engine.
  */
@@ -12,7 +13,6 @@
 #include "kernels/conv2d.h"
 #include "kernels/gemm.h"
 #include "kernels/pool2d.h"
-#include "kernels/winograd.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
 
@@ -114,22 +114,42 @@ BM_SplitConv2dForward(benchmark::State &state)
 }
 BENCHMARK(BM_SplitConv2dForward)->Arg(8)->Arg(16)->Arg(32);
 
+/** A 128x1152 weight (128 output channels, 128x3x3 inputs): what a
+ * split-cache hit costs (the content hash) against what it saves
+ * (packing the GEMM A panels). */
 void
-BM_WinogradConv2dForward(benchmark::State &state)
+BM_WeightCacheHash(benchmark::State &state)
 {
-    const int64_t c = state.range(0);
     Rng rng(7);
-    Tensor x(Shape{1, c, 32, 32});
-    Tensor w(Shape{c, c, 3, 3});
-    x.fillNormal(rng, 0.0f, 1.0f);
+    Tensor w(Shape{128, 128, 3, 3});
     w.fillNormal(rng, 0.0f, 0.1f);
-    const Window2d win = Window2d::square(3, 1, 1);
-    for (auto _ : state) {
-        Tensor out = conv2dForwardWinograd(x, w, Tensor(), win);
-        benchmark::DoNotOptimize(out.data());
-    }
+    for (auto _ : state)
+        benchmark::DoNotOptimize(splitWeightCacheHash(w.data(), w.numel()));
+    state.SetBytesProcessed(state.iterations() * w.numel() *
+                            int64_t(sizeof(float)));
 }
-BENCHMARK(BM_WinogradConv2dForward)->Arg(8)->Arg(16)->Arg(32);
+BENCHMARK(BM_WeightCacheHash);
+
+void
+BM_WeightPackA(benchmark::State &state)
+{
+    Rng rng(7);
+    Tensor w(Shape{128, 128, 3, 3});
+    w.fillNormal(rng, 0.0f, 0.1f);
+    std::vector<float> panels(
+        static_cast<size_t>(gemmPackedASize(128, 1152) + 16));
+    // 64-byte aligned, as the packers require.
+    auto addr = reinterpret_cast<uintptr_t>(panels.data());
+    float *pa = reinterpret_cast<float *>((addr + 63) & ~uintptr_t{63});
+    for (auto _ : state) {
+        gemmPackA(128, 1152, 1.0f, w.data(), pa);
+        benchmark::DoNotOptimize(pa);
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(state.iterations() * w.numel() *
+                            int64_t(sizeof(float)));
+}
+BENCHMARK(BM_WeightPackA);
 
 void
 BM_MaxPool(benchmark::State &state)

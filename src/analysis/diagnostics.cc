@@ -131,7 +131,7 @@ diagnosticCodes()
          "work-item access outside the bounds of its region"},
         {"SA603", DiagSeverity::Error,
          "write to a read-only shared region (weight panels, "
-         "Winograd U tensors, cached panels)"},
+         "cached panels, inputs)"},
         {"SA604", DiagSeverity::Error,
          "access to a scratch-arena region owned by another work "
          "item"},

@@ -14,8 +14,8 @@
  *   SA601  same-epoch items with overlapping write sets (or a
  *          write overlapping another item's read) — a data race
  *   SA602  an access outside the region's bounds
- *   SA603  a write to a read-only region (weight panels, packed
- *          Winograd U tensors, cached panels)
+ *   SA603  a write to a read-only region (weight panels, cached
+ *          panels, inputs)
  *   SA604  an access to a scratch-arena region owned by another item
  *   SA605  in an `ordered` region, a read of a slot with no write in
  *          any earlier epoch (happens-before violation)
@@ -37,17 +37,18 @@
  *
  * The builders mirror the engine's parallel surfaces (forward and
  * backward). They derive the decomposition from the same shared
- * helpers the kernels use (splitConvBandItems, lowerGraph,
+ * helpers the kernels use (convWork, lowerGraph,
  * computeExecutionWaves), so the model cannot silently diverge from
  * the code it describes:
  *
- *  - buildSplitConvPlan: splitConv2dForwardFused's image x row-band
- *    items. A band writes output rows [out_start+oy0, out_start+oy1)
- *    of every output channel at the parent channel stride (one span
- *    {base, n1=oc, s1=oh*ow, len=rows*ow} per item), reads the halo
- *    rectangles of every width patch, shares the packed weight
+ *  - buildSplitConvPlan: conv2dForwardPatches' convWork items — one
+ *    row band of one image, or every band of an image group. Per
+ *    image, an item writes its output rows of every output channel
+ *    at the parent channel stride (one span
+ *    {base, n1=oc, s1=oh*ow, len=rows*ow} per image), reads the halo
+ *    rectangles of every patch it stages, shares the packed weight
  *    panels read-only, and owns a private scratch-arena region for
- *    its staged columns.
+ *    its staged columns (and a group's C bounce buffer).
  *  - buildSplitPoolPlan: the image x patch items of the fused pool
  *    paths; a patch writes the block
  *    [out_start_h, out_end_h) x [out_start_w, out_end_w) of every
@@ -171,12 +172,10 @@ std::string parallelItemName(const ParallelPlan &plan, int64_t item);
 std::vector<Diagnostic> analyzeParallelPlan(const ParallelPlan &plan);
 
 /**
- * Model splitConv2dForwardFused for @p n images of a C x ih x iw
- * input under @p scheme. The footprints cover both kernel choices:
- * the im2col and Winograd paths write identical band regions, and
- * reads are modeled as each patch's halo rectangle (a conservative
- * contiguous hull per patch — exactly what the shadow recorder
- * logs).
+ * Model conv2dForwardPatches (splitConv2dForward) for @p n images of a
+ * C x ih x iw input under @p scheme. Reads are modeled as each patch's
+ * halo rectangle (a conservative contiguous hull per patch and image —
+ * exactly what the shadow recorder logs).
  */
 ParallelPlan buildSplitConvPlan(int64_t n, int64_t c, int64_t ih,
                                 int64_t iw, int64_t oc,
@@ -189,22 +188,33 @@ ParallelPlan buildSplitPoolPlan(int64_t n, int64_t c, int64_t ih,
                                 const SplitScheme2d &scheme);
 
 /**
- * Model splitConv2dBackwardFused: images fan out across workers, and
- * a worker runs its image's row-band items serially ascending — so
- * the plan's epochs encode that per-image serial order. Per band:
- * grad_x scatter hulls (band-restricted, mirroring col2imViewStrided)
- * land in the `ordered_accum` grad_x region, grad_out band rows and
+ * Model conv2dBackwardPatches (splitConv2dBackward): wgrad reduction
+ * units (images, or image groups) fan out across workers, and a
+ * worker runs its unit's convWork items serially ascending — so the
+ * plan's epochs encode that per-unit serial order. Per item: grad_x
+ * scatter hulls (band-restricted, mirroring col2imViewStrided, per
+ * image) land in the `ordered_accum` grad_x region, grad_out rows and
  * patch input hulls are read, the cached dgrad (W^T) panels are
- * shared read-only, and the per-image wgrad/bias partial accumulator
- * chains bands under the same ordered discipline. A per-image bias
- * item then reduces grad_out rows, and a per-image reduction item —
- * serialized in image order after each wave — folds the partial into
- * the shared grad_w / grad_b regions (both `ordered_accum`).
+ * shared read-only, and the unit's wgrad partial accumulator chains
+ * items under the same ordered discipline. A per-image bias item then
+ * reduces grad_out rows into its slot of the unit's accumulator, and
+ * a per-unit reduction item — serialized in unit order after each
+ * wave — folds the partial into the shared grad_w / grad_b regions
+ * (both `ordered_accum`).
  */
 ParallelPlan buildSplitConvBackwardPlan(int64_t n, int64_t c,
                                         int64_t ih, int64_t iw,
                                         int64_t oc, const Window2d &win,
                                         const SplitScheme2d &scheme);
+
+/**
+ * Images a conv plan models so that two wgrad reduction units are
+ * present: min(@p n, 2 * the conv's image group). Unit footprints
+ * are identical translates, so two units prove every inter-unit pair
+ * (and, for groups, every inter-group reduction order).
+ */
+int64_t convModelBatch(int64_t n, int64_t krows,
+                       const SplitScheme2d &scheme);
 
 /**
  * Model the fused split-pool backward paths: image x patch items
@@ -236,7 +246,8 @@ ParallelPlan buildSplitBatchNormPlan(int64_t n, int64_t c, int64_t h,
 /**
  * Every plan the split kernels of @p graph's region nodes (lowerGraph)
  * run under their real schemes, each paired with the layer's first
- * clone and named after the layer (batch modeled as min(n, 2)): conv
+ * clone and named after the layer (batch modeled as two work units,
+ * as in analyzeParallelExecution): conv
  * forward and backward, pool forward and backward, or the split-BN
  * plan. ReLU and Add region nodes run elementwise kernels over the
  * parents and need none.
@@ -259,10 +270,10 @@ ParallelPlan buildExecutorWavePlan(const Graph &graph, bool training);
  * region-node plans of a split graph under their real schemes, plus
  * a split plan for every Conv2d / MaxPool2d / AvgPool2d node at an
  * (at most) @p splits_h x @p splits_w even split grid, clamped per
- * node to its output extents. Batch is modeled as min(n, 2) images:
- * image footprints are identical translates at stride
- * channels*H*W, so two suffice to prove inter-image disjointness
- * for any batch.
+ * node to its output extents. Batch is modeled as two work units
+ * (min(n, 2) images, or convModelBatch for a conv): unit footprints
+ * are identical translates, so two suffice to prove inter-unit
+ * disjointness for any batch.
  */
 std::vector<Diagnostic> analyzeParallelExecution(const Graph &graph,
                                                  int splits_h,

@@ -1,6 +1,7 @@
 #include "core/split_op.h"
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -8,64 +9,63 @@
 #include "analysis/shadow_access.h"
 #include "kernels/conv2d.h"
 #include "kernels/gemm.h"
-#include "kernels/im2col.h"
 #include "kernels/microkernel.h"
 #include "kernels/pool2d.h"
-#include "kernels/winograd.h"
 #include "util/logging.h"
 #include "util/mutex.h"
-#include "util/scratch_arena.h"
 #include "util/thread_annotations.h"
 #include "util/threadpool.h"
 
 namespace scnn {
 
 // ---------------------------------------------------------------------------
-// Fused zero-copy split execution.
+// Split execution over the band engine.
 //
-// Materializing each patch pays a pad2d input copy, a fresh output
-// tensor, and two concat passes — pure memory traffic — and runs one
-// small GEMM per patch. The fused path instead makes the GEMM shape
-// equal to the unsplit convolution's. A work
-// item is an output-row *band* of one patch-row group (all patches
-// sharing a split-H piece): every patch stages its halo-aware im2col
-// columns into one shared column matrix whose columns are ordered by
-// parent output position (im2colViewStrided with col_ld = the band's
-// full column count, row_step = the parent output width), the matrix
-// is packed into B panels once (gemmPackB) and consumed across every
-// output-channel block without repacking (gemmPackedAB), and C is
-// the parent output itself (ldc = the parent channel stride) — no
-// bounce buffer, no copy pass. Weight panels come from a keyed
-// per-(layer, split) cache instead of being repacked per call.
-//
-// Determinism: the work list is a function of shapes alone (the row
-// band is a fixed constant), every item writes a disjoint output
-// region, and each item's arithmetic is scheduling-independent — so
-// outputs are bitwise identical for any thread count. Under the
-// scalar microkernel each output element accumulates k ascending
-// from a zeroed start exactly like conv2dForward on a materialized
-// patch, so the two produce identical bytes; the fused batched-GEMM
-// Winograd path likewise reproduces conv2dForwardWinograd's bytes.
+// The split conv kernels are kernels/conv2d.h's band engine run over
+// the scheme's patch views: patches are never materialized, every
+// patch stages its halo-aware im2col columns into its work item's
+// shared column matrix, and one GEMM per item runs at (at least) the
+// unsplit convolution's shape. What this file adds is the split
+// entry points' bookkeeping: weight panels come from a keyed
+// per-(layer, split) cache instead of being repacked per call, and
+// the debug hooks (SA6xx lint, shadow-access sessions) wrap each
+// call.
 // ---------------------------------------------------------------------------
 
-namespace {
-
 uint64_t
-hashFloats(const float *p, int64_t count)
+splitWeightCacheHash(const float *p, int64_t count)
 {
-    // FNV-1a over the raw bytes: cheap relative to a pack (one
-    // sequential read, no writes) and exhaustive, so in-place weight
-    // updates can never serve stale panels.
-    const unsigned char *bytes =
-        reinterpret_cast<const unsigned char *>(p);
-    const int64_t nbytes = count * int64_t(sizeof(float));
-    uint64_t h = 1469598103934665603ull;
-    for (int64_t i = 0; i < nbytes; ++i) {
-        h ^= bytes[i];
-        h *= 1099511628211ull;
+    // FNV-1a-style over 64-bit words, four independent lanes so the
+    // multiply chains overlap: exhaustive (in-place weight updates can
+    // never serve stale panels) and cheaper than the pack it saves.
+    constexpr uint64_t kPrime = 1099511628211ull;
+    uint64_t lane[4] = {1469598103934665603ull, 0x9e3779b97f4a7c15ull,
+                        0xc2b2ae3d27d4eb4full, 0x165667b19e3779f9ull};
+    const int64_t words = count / 2;
+    int64_t i = 0;
+    for (; i + 4 <= words; i += 4)
+        for (int l = 0; l < 4; ++l) {
+            uint64_t v;
+            std::memcpy(&v, p + 2 * (i + l), sizeof v);
+            lane[l] = (lane[l] ^ v) * kPrime;
+        }
+    for (; i < words; ++i) {
+        uint64_t v;
+        std::memcpy(&v, p + 2 * i, sizeof v);
+        lane[0] = (lane[0] ^ v) * kPrime;
     }
+    if (count % 2 != 0) {
+        uint32_t v;
+        std::memcpy(&v, p + count - 1, sizeof v);
+        lane[1] = (lane[1] ^ v) * kPrime;
+    }
+    uint64_t h = static_cast<uint64_t>(count);
+    for (const uint64_t l : lane)
+        h = (h ^ l) * kPrime;
     return h;
 }
+
+namespace {
 
 /** A cached packed-panel buffer plus the shared_ptr keeping it alive
  * while a worker reads it (eviction only drops the cache's ref). */
@@ -75,16 +75,16 @@ struct PanelRef
     const float *panels = nullptr;
 };
 
-/** Which packed layout a cache entry holds. One weight tensor can be
- * cached under several kinds at once: the forward GEMM A panels, the
- * Winograd U tensor, and the backward dgrad panels (W^T packed as A,
- * krows x oc) are distinct layouts keyed separately. */
-enum class PanelKind { GemmA, Winograd, Dgrad };
+/** Which packed layout a cache entry holds. One weight tensor is
+ * cached under both at once: the forward GEMM A panels and the
+ * backward dgrad panels (W^T packed as A, krows x oc) are distinct
+ * layouts keyed separately. */
+enum class PanelKind { GemmA, Dgrad };
 
 /**
  * Keyed LRU cache of packed weight panels, shared process-wide.
  *
- * Key: weight base pointer + panel shape + kernel choice + active
+ * Key: weight base pointer + panel shape + layout kind + active
  * microkernel (packed layouts are microkernel-dependent). A full
  * content hash validates every hit. Capacity is a handful of layers;
  * an inference loop over a fixed net hits every call after the first
@@ -99,7 +99,7 @@ public:
     lookupOrPack(const float *w, int64_t wcount, int64_t m, int64_t k,
                  PanelKind kind, int64_t panel_floats, PackFn &&pack)
     {
-        const uint64_t h = hashFloats(w, wcount);
+        const uint64_t h = splitWeightCacheHash(w, wcount);
         const char *kernel = activeMicrokernel().name;
         MutexLock lock(mu_);
         ++tick_;
@@ -209,168 +209,13 @@ splitWeightCacheClear()
     weightCache().clear();
 }
 
-Tensor
-splitConv2dForwardFused(const Tensor &x, const Tensor &weight,
-                        const Tensor &bias, const Window2d &win,
-                        const SplitScheme2d &scheme, bool use_winograd)
-{
-    SCNN_REQUIRE(x.shape().rank() == 4, "split conv input must be NCHW");
-    SCNN_REQUIRE(weight.shape().rank() == 4,
-                 "split conv weight must be [OC, C, kh, kw]");
-    const int64_t n = x.shape().dim(0);
-    const int64_t c = x.shape().dim(1);
-    const int64_t ih = x.shape().dim(2);
-    const int64_t iw = x.shape().dim(3);
-    const int64_t oc = weight.shape().dim(0);
-    SCNN_REQUIRE(weight.shape().dim(1) == c,
-                 "split conv channel mismatch");
-    SCNN_REQUIRE(weight.shape().dim(2) == win.kh &&
-                     weight.shape().dim(3) == win.kw,
-                 "split conv kernel extent mismatch");
-    SCNN_REQUIRE(!use_winograd || winogradApplicable(win),
-                 "winograd split path needs a 3x3 stride-1 window");
-    checkSchemeGeometry(win, scheme);
-
-    const int64_t out_h = scheme.h.pieces.back().out_end;
-    const int64_t out_w = scheme.w.pieces.back().out_end;
-    const int64_t krows = c * win.kh * win.kw;
-    const bool has_bias = bias.numel() > 0;
-    if (has_bias)
-        SCNN_REQUIRE(bias.numel() == oc,
-                     "split conv bias size mismatch");
-
-    // The band decomposition comes from the shared helper the SA6xx
-    // analyzer also models.
-    const std::vector<SplitBandItem> bands =
-        splitConvBandItems(scheme.h);
-
-    // Weight panels: packed at most once per (layer, split) — served
-    // from the keyed cache on every later call, shared read-only by
-    // all workers.
-    PanelRef wref;
-    if (use_winograd)
-        wref = weightCache().lookupOrPack(
-            weight.data(), oc * krows, oc, c, PanelKind::Winograd,
-            winogradPackedUSize(oc, c), [&](float *dst) {
-                winogradPackWeights(weight.data(), oc, c, dst);
-            });
-    else
-        wref = weightCache().lookupOrPack(
-            weight.data(), oc * krows, oc, krows, PanelKind::GemmA,
-            gemmPackedASize(oc, krows), [&](float *dst) {
-                gemmPackA(oc, krows, 1.0f, weight.data(), dst);
-            });
-
-    Tensor out = Tensor::uninitialized(Shape{n, oc, out_h, out_w});
-    const float *bias_ptr = has_bias ? bias.data() : nullptr;
-    const int64_t n_bands = static_cast<int64_t>(bands.size());
-    const int64_t max_band_cols = maxBandRows(bands) * out_w;
-    const int64_t panel_floats = use_winograd
-                                     ? winogradPackedUSize(oc, c)
-                                     : gemmPackedASize(oc, krows);
-
-    // Shadow-access validation (SCNN_SHADOW_ACCESS=1): model this
-    // exact execution and, after the parallel section, check every
-    // claim the kernels recorded against the static prediction.
-    const auto shadow =
-        shadowAccessEnabled()
-            ? openShadowSession(
-                  buildSplitConvPlan(n, c, ih, iw, oc, win, scheme),
-                  {{"output", out.data()},
-                   {"input", x.data()},
-                   {"weight_panels", wref.panels}})
-            : nullptr;
-
-    globalPool().parallelFor(n * n_bands, [&](int64_t begin,
-                                              int64_t end) {
-        auto &warena = ScratchArena::tls();
-        auto wguard = warena.scope();
-        float *col = nullptr;
-        float *pb = nullptr;
-        if (!use_winograd) {
-            col = warena.alloc(krows * max_band_cols);
-            pb = warena.alloc(gemmPackedBSize(krows, max_band_cols));
-        }
-        for (int64_t i = begin; i < end; ++i) {
-            const int64_t in = i / n_bands;
-            const SplitBandItem &band =
-                bands[static_cast<size_t>(i % n_bands)];
-            const SplitPiece1d &ph = scheme.h.pieces[band.hi];
-            const float *img = x.data() + in * c * ih * iw;
-            float *out_img = out.data() + in * oc * out_h * out_w;
-
-            if (shadow) {
-                shadowSetItem(i);
-                // The band's whole output claim (both kernel paths
-                // write exactly these rows of every channel) and its
-                // shared read of the packed panels. Input halo reads
-                // are recorded inside the patch kernels.
-                shadowRecordSpan(
-                    out_img + (ph.out_start + band.oy0) * out_w,
-                    {0, oc, out_h * out_w, 1, 0,
-                     (band.oy1 - band.oy0) * out_w},
-                    true);
-                shadowRecord(wref.panels, panel_floats, false);
-            }
-
-            if (use_winograd) {
-                for (int wi = 0; wi < scheme.w.parts(); ++wi) {
-                    const SplitPiece1d &pw = scheme.w.pieces[wi];
-                    const PatchView view{ph.in_start, pw.in_start,
-                                         ph.inLen(), pw.inLen()};
-                    conv2dWinogradPatch(
-                        img, c, ih, iw, view,
-                        patchWindow(win, scheme, band.hi, wi),
-                        wref.panels, oc, bias_ptr, band.oy0 / 2,
-                        (band.oy1 + 1) / 2, out_img, out_h, out_w,
-                        ph.out_start, pw.out_start);
-                }
-                continue;
-            }
-
-            // Stage every patch's columns of this band into the
-            // shared column matrix, ordered by parent output
-            // position: window-element row r of output (oy, ox_glob)
-            // sits at col[r*nb + (oy - oy0)*out_w + ox_glob].
-            const int64_t rows = band.oy1 - band.oy0;
-            const int64_t nb = rows * out_w;
-            for (int wi = 0; wi < scheme.w.parts(); ++wi) {
-                const SplitPiece1d &pw = scheme.w.pieces[wi];
-                const PatchView view{ph.in_start, pw.in_start,
-                                     ph.inLen(), pw.inLen()};
-                im2colViewStrided(
-                    img, c, ih, iw, view,
-                    patchWindow(win, scheme, band.hi, wi), band.oy0,
-                    band.oy1, col + pw.out_start, nb, out_w);
-            }
-            // One unsplit-shaped GEMM for the whole band: B panels
-            // packed once, consumed by every output-channel block, C
-            // written straight into the parent output.
-            gemmPackB(krows, nb, col, nb, pb);
-            float *cbase =
-                out_img + (ph.out_start + band.oy0) * out_w;
-            const int64_t ldc = out_h * out_w;
-            gemmPackedAB(oc, nb, krows, wref.panels, pb, 0.0f, cbase,
-                         ldc);
-            if (has_bias)
-                for (int64_t o = 0; o < oc; ++o) {
-                    float *crow = cbase + o * ldc;
-                    const float b = bias_ptr[o];
-                    for (int64_t j = 0; j < nb; ++j)
-                        crow[j] += b;
-                }
-        }
-    });
-    checkShadowSession(shadow, "split conv");
-    return out;
-}
-
 namespace {
 
 /** Debug hook shared by the split dispatchers: statically prove the
- * decomposition race-free before running it. Batch is modeled as
- * min(n, 2) images — image footprints are identical translates, so
- * two prove every inter-image pair (same convention as
+ * decomposition race-free before running it. Batch is modeled as two
+ * work units (min(n, 2) images for the pools, convModelBatch for the
+ * conv) — unit footprints are identical translates, so two prove
+ * every inter-unit pair (same convention as
  * analyzeParallelExecution). */
 void
 lintSplitPlan(const ParallelPlan &plan, const char *what)
@@ -390,17 +235,47 @@ splitConv2dForward(const Tensor &x, const Tensor &weight,
                    const Tensor &bias, const Window2d &win,
                    const SplitScheme2d &scheme)
 {
+    SCNN_REQUIRE(x.shape().rank() == 4 && weight.shape().rank() == 4,
+                 "split conv needs NCHW input and OIHW weight");
+    const int64_t n = x.shape().dim(0);
+    const int64_t c = x.shape().dim(1);
+    const int64_t ih = x.shape().dim(2);
+    const int64_t iw = x.shape().dim(3);
+    const int64_t oc = weight.shape().dim(0);
+    const int64_t krows = c * win.kh * win.kw;
+    SCNN_REQUIRE(weight.numel() == oc * krows,
+                 "split conv weight does not match the input");
     if (lintParallelEnabled())
-        lintSplitPlan(buildSplitConvPlan(
-                          std::min<int64_t>(x.shape().dim(0), 2),
-                          x.shape().dim(1), x.shape().dim(2),
-                          x.shape().dim(3), weight.shape().dim(0),
-                          win, scheme),
+        lintSplitPlan(buildSplitConvPlan(convModelBatch(n, krows, scheme),
+                                         c, ih, iw, oc, win, scheme),
                       "split conv");
-    const bool wino =
-        winogradApplicable(win) &&
-        winogradCostModelWins(x.shape().dim(1), weight.shape().dim(0));
-    return splitConv2dForwardFused(x, weight, bias, win, scheme, wino);
+
+    // Weight panels: packed at most once per (layer, split) — served
+    // from the keyed cache on every later call, shared read-only by
+    // all workers.
+    const PanelRef wref = weightCache().lookupOrPack(
+        weight.data(), oc * krows, oc, krows, PanelKind::GemmA,
+        gemmPackedASize(oc, krows), [&](float *dst) {
+            gemmPackA(oc, krows, 1.0f, weight.data(), dst);
+        });
+
+    // Shadow-access validation (SCNN_SHADOW_ACCESS=1): model this
+    // exact execution and check every claim the kernel records
+    // against the static prediction. The output is bound once the
+    // kernel allocated it, before any claim is checked.
+    auto shadow = shadowAccessEnabled()
+                      ? openShadowSession(
+                            buildSplitConvPlan(n, c, ih, iw, oc, win,
+                                               scheme),
+                            {{"input", x.data()},
+                             {"weight_panels", wref.panels}})
+                      : nullptr;
+    Tensor out =
+        conv2dForwardPatches(x, weight, wref.panels, bias, win, scheme);
+    if (shadow)
+        shadow->bind("output", out.data());
+    checkShadowSession(shadow, "split conv");
+    return out;
 }
 
 namespace {
@@ -520,9 +395,9 @@ splitConv2dBackward(const Tensor &x, const Tensor &weight,
     SCNN_REQUIRE(weight.numel() == oc * krows,
                  "split conv weight does not match the input");
     if (lintParallelEnabled())
-        lintSplitPlan(buildSplitConvBackwardPlan(std::min<int64_t>(n, 2),
-                                                 c, ih, iw, oc, win,
-                                                 scheme),
+        lintSplitPlan(buildSplitConvBackwardPlan(
+                          convModelBatch(n, krows, scheme), c, ih, iw, oc,
+                          win, scheme),
                       "split conv backward");
 
     // dgrad operand: W^T packed A panels, A(i, p) = weight[p*krows+i],
@@ -654,17 +529,17 @@ splitMaxPool2dBackward(const Shape &in_shape, const Tensor &grad_out,
             // The forward argmax is absolute into the whole input
             // tensor, and every argmax of an output in this block
             // lies inside the patch's input rectangle (Eqs. 1-2).
+            float *gxp = gx.data();
+            const float *go = grad_out.data();
+            const int64_t *am = argmax.data();
             for (int64_t ic = 0; ic < c; ++ic)
-                for (int64_t oy = ph.out_start; oy < ph.out_end; ++oy)
-                    for (int64_t ox = pw.out_start; ox < pw.out_end;
-                         ++ox) {
-                        const int64_t oi =
-                            ((in * c + ic) * out_h + oy) * out_w + ox;
-                        const int64_t idx =
-                            argmax[static_cast<size_t>(oi)];
-                        if (idx >= 0)
-                            gx.at(idx) += grad_out.at(oi);
-                    }
+                for (int64_t oy = ph.out_start; oy < ph.out_end; ++oy) {
+                    const int64_t row = ((in * c + ic) * out_h + oy) * out_w;
+                    for (int64_t oi = row + pw.out_start;
+                         oi < row + pw.out_end; ++oi)
+                        if (am[oi] >= 0)
+                            gxp[am[oi]] += go[oi];
+                }
         });
 }
 

@@ -22,48 +22,29 @@ namespace scnn {
 
 /**
  * Split convolution forward (Eqs. 4-7 applied to conv2d), fused and
- * zero-copy: patches are views into the parent tensor (no pad2d
- * copy, no per-patch output tensors, no concat). Each work item is
- * an output-row band of one patch-row group: every patch in the band
- * stages its halo-aware im2col columns into one shared column matrix
- * ordered by parent output position, the matrix is packed into B
- * panels once and consumed across every output-channel tile without
- * repacking, and the GEMM's C is the parent output itself — so the
- * GEMM runs at the unsplit convolution's shape and the split overhead
- * reduces to the per-patch im2col flank handling. Weight panels are
- * packed once per (layer, split) via a keyed cache, not once per
- * call.
- *
- * Kernel selection: when the window is 3x3 stride-1 and
- * winogradCostModelWins says the transform overhead amortizes, the
- * batched-GEMM Winograd patch kernel runs instead of im2col+GEMM —
- * the same choice conv2dForwardAuto makes for an unsplit layer.
+ * zero-copy: the band engine conv2dForwardPatches (kernels/conv2d.h)
+ * over the scheme's patch views — no pad2d copy, no per-patch output
+ * tensors, no concat. Every patch of a work item (one output-row
+ * band, or every band of a small-image group) stages its halo-aware
+ * im2col columns into one shared column matrix ordered by parent
+ * output position, packed into B panels once, and the GEMM's C is the
+ * parent output — so the GEMM runs at (at least) the unsplit
+ * convolution's shape and the split overhead reduces to the per-patch
+ * im2col flank handling. Weight panels are packed once per
+ * (layer, split) via a keyed cache, not once per call.
  */
 Tensor splitConv2dForward(const Tensor &x, const Tensor &weight,
                           const Tensor &bias, const Window2d &win,
                           const SplitScheme2d &scheme);
 
-/**
- * splitConv2dForward with the kernel choice explicit:
- * @p use_winograd selects the halo-aware batched-GEMM Winograd patch
- * kernel (requires winogradApplicable(win)); otherwise halo-aware
- * im2col feeds packed-panel GEMMs writing straight into the parent
- * output. For tests and benches that pin one kernel.
- */
-Tensor splitConv2dForwardFused(const Tensor &x, const Tensor &weight,
-                               const Tensor &bias, const Window2d &win,
-                               const SplitScheme2d &scheme,
-                               bool use_winograd);
-
 /** @name Per-(layer, split) weight-panel cache
  *
- * The split conv kernels pack their weight operand (GEMM A panels,
- * the 16 packed Winograd U matrices, or the backward W^T panels) at
- * most once per layer: a small keyed LRU cache holds the packed
- * panels across calls, keyed by weight identity, shape, kernel
- * choice, and the active microkernel, and validated by a full
- * content hash so in-place weight updates (training) repack instead
- * of serving stale panels.
+ * The split conv kernels pack their weight operand (forward GEMM A
+ * panels, or the backward W^T panels) at most once per layer: a small
+ * keyed LRU cache holds the packed panels across calls, keyed by
+ * weight identity, shape, layout, and the active microkernel, and
+ * validated by a full content hash (64-bit words) so in-place weight
+ * updates (training) repack instead of serving stale panels.
  */
 ///@{
 struct SplitWeightCacheStats
@@ -79,6 +60,11 @@ SplitWeightCacheStats splitWeightCacheStats();
 
 /** Drop every cached panel and zero the counters (tests). */
 void splitWeightCacheClear();
+
+/** The content hash that validates every cache hit: exhaustive over
+ * the weight's @p count floats, read as 64-bit words (benches time it
+ * against the pack a hit saves). */
+uint64_t splitWeightCacheHash(const float *w, int64_t count);
 ///@}
 
 /**

@@ -28,10 +28,13 @@ reluBackward(const Tensor &y, const Tensor &grad_out)
 {
     SCNN_CHECK(y.shape() == grad_out.shape(),
                "relu backward shape mismatch");
-    Tensor grad_x(y.shape());
+    Tensor grad_x = Tensor::uninitialized(y.shape());
+    const float *yp = y.data();
+    const float *gp = grad_out.data();
+    float *gx = grad_x.data();
     const int64_t n = y.numel();
     for (int64_t i = 0; i < n; ++i)
-        grad_x.at(i) = y.at(i) > 0.0f ? grad_out.at(i) : 0.0f;
+        gx[i] = yp[i] > 0.0f ? gp[i] : 0.0f;
     return grad_x;
 }
 

@@ -59,7 +59,7 @@ struct Window2d
 /**
  * A rectangular patch of a parent image, addressed zero-copy: the
  * patch is parent[r0 : r0+ih, c0 : c0+iw]. The halo-aware split
- * kernels (im2colViewStrided, conv2dWinogradPatch) read parent memory
+ * kernels (im2colViewStrided, the pool patch kernels) read parent memory
  * through this view via strided offsets instead of materializing a
  * padded per-patch tensor.
  */

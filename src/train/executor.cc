@@ -223,7 +223,7 @@ Executor::computeNode(const ExecNode &e, const Tensor &input,
             n.has_bias ? params_.value(n.params[1]) : Tensor();
         out = e.isRegion()
                   ? splitConv2dForward(val(0), w, b, e.win, e.scheme)
-                  : conv2dForwardAuto(val(0), w, b, e.win);
+                  : conv2dForward(val(0), w, b, e.win);
         break;
       }
       case OpKind::MaxPool2d: {

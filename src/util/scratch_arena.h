@@ -3,7 +3,7 @@
  * Per-thread bump allocator for kernel workspaces.
  *
  * The convolution/pooling kernels need large scratch buffers (im2col
- * columns, packed GEMM panels, Winograd tiles) on every call; heap
+ * columns, packed GEMM panels, bounce buffers) on every call; heap
  * allocating them each time dominated small-kernel runtime and
  * fragmented the allocator. A ScratchArena hands out uninitialized,
  * 64-byte-aligned float spans from thread-local blocks that persist
@@ -18,8 +18,8 @@
  * scopes nest. The arena is not thread-safe by design — tls() gives
  * every thread (pool workers included) its own instance. A span
  * allocated before a parallelFor may be *read* concurrently by every
- * worker while the owning scope is alive (the split executor shares
- * packed GEMM weight panels and Winograd U tiles this way); only
+ * worker while the owning scope is alive (the unsplit conv shares its
+ * packed GEMM weight panels this way); only
  * allocation and writes are single-thread. The 64-byte alignment
  * makes every span safe for aligned SIMD loads (the AVX2 microkernel
  * reads packed panels with _mm256_load_ps).

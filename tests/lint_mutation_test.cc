@@ -389,7 +389,9 @@ cleanConvPlan()
     const auto scheme = splitWindowOp2d(
         win, 16, 16, evenOutputSplit(win.outH(16), 2),
         evenOutputSplit(win.outW(16), 2), InputSplitPolicy::Center);
-    return buildSplitConvPlan(1, 3, 16, 16, 4, win, scheme);
+    // 64 input channels keep one image's columns past the image-group
+    // budget, so the plan has one item per row band.
+    return buildSplitConvPlan(1, 64, 16, 16, 4, win, scheme);
 }
 
 /** The executor wave plan of a 2x2-split VGG-19: region nodes, and

@@ -20,7 +20,6 @@
 #include "kernels/conv2d.h"
 #include "kernels/microkernel.h"
 #include "kernels/pool2d.h"
-#include "kernels/winograd.h"
 #include "tensor/tensor_ops.h"
 #include "train/executor.h"
 #include "util/scratch_arena.h"
@@ -220,31 +219,25 @@ TEST(ParallelDeterminism, SplitConvBitwiseAcrossThreads)
     }
 }
 
-TEST(ParallelDeterminism, PoolAndWinogradBitwiseAcrossThreads)
+TEST(ParallelDeterminism, PoolBitwiseAcrossThreads)
 {
     Rng rng(13);
     Tensor x(Shape{5, 4, 12, 14});
     x.fillNormal(rng, 0.0f, 1.0f);
-    Tensor w(Shape{6, 4, 3, 3});
-    w.fillNormal(rng, 0.0f, 0.5f);
     const Window2d pwin = Window2d::square(2, 2, 0);
-    const Window2d cwin = Window2d::square(3, 1, 1);
 
-    Tensor pool1, wino1;
+    Tensor pool1;
     std::vector<int64_t> am1;
     {
         ThreadGuard g(1);
         pool1 = maxPool2dForward(x, pwin, am1);
-        wino1 = conv2dForwardWinograd(x, w, Tensor(), cwin);
     }
     for (int threads : {2, 4}) {
         ThreadGuard g(threads);
         std::vector<int64_t> am;
         Tensor pool = maxPool2dForward(x, pwin, am);
-        Tensor wino = conv2dForwardWinograd(x, w, Tensor(), cwin);
         EXPECT_TRUE(bitwiseEqual(pool, pool1));
         EXPECT_EQ(am, am1);
-        EXPECT_TRUE(bitwiseEqual(wino, wino1));
     }
 }
 
@@ -264,10 +257,9 @@ class ScopedSimd
 };
 
 /** The fused zero-copy split conv must produce the same bytes at any
- * pool size — its image x patch x row-tile work list is a function of
- * shapes alone, and every item writes a disjoint output region. Both
- * kernel variants (im2col+GEMM and Winograd) and both microkernels
- * are swept across 1/2/4/8 threads. */
+ * pool size — its work list is a function of shapes alone, and every
+ * item writes a disjoint output region. Both microkernels are swept
+ * across 1/2/4/8 threads. */
 TEST(ParallelDeterminism, FusedSplitConvBitwiseAcrossThreads)
 {
     Rng rng(17);
@@ -286,21 +278,16 @@ TEST(ParallelDeterminism, FusedSplitConvBitwiseAcrossThreads)
         if (simd && !simdAvailable())
             continue;
         ScopedSimd pin(simd);
-        for (const bool wino : {false, true}) {
-            Tensor ref;
-            {
-                ThreadGuard g(1);
-                ref = splitConv2dForwardFused(x, w, b, win, scheme,
-                                              wino);
-            }
-            for (int threads : {2, 4, 8}) {
-                ThreadGuard g(threads);
-                Tensor got = splitConv2dForwardFused(x, w, b, win,
-                                                     scheme, wino);
-                EXPECT_TRUE(bitwiseEqual(got, ref))
-                    << threads << " threads, simd=" << simd
-                    << ", winograd=" << wino;
-            }
+        Tensor ref;
+        {
+            ThreadGuard g(1);
+            ref = splitConv2dForward(x, w, b, win, scheme);
+        }
+        for (int threads : {2, 4, 8}) {
+            ThreadGuard g(threads);
+            Tensor got = splitConv2dForward(x, w, b, win, scheme);
+            EXPECT_TRUE(bitwiseEqual(got, ref))
+                << threads << " threads, simd=" << simd;
         }
     }
 }
@@ -329,13 +316,11 @@ TEST(ParallelDeterminism, FusedSplitConvSimdMatchesScalarClosely)
     Tensor scalar_out, simd_out;
     {
         ScopedSimd pin(false);
-        scalar_out = splitConv2dForwardFused(x, w, b, win, scheme,
-                                             /*use_winograd=*/false);
+        scalar_out = splitConv2dForward(x, w, b, win, scheme);
     }
     {
         ScopedSimd pin(true);
-        simd_out = splitConv2dForwardFused(x, w, b, win, scheme,
-                                           /*use_winograd=*/false);
+        simd_out = splitConv2dForward(x, w, b, win, scheme);
     }
     ASSERT_EQ(scalar_out.shape(), simd_out.shape());
     // Relative to the accumulation magnitude: k = 256*9 products of

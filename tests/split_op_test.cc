@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <tuple>
+#include <vector>
 
 #include "split_oracle.h"
 
@@ -18,7 +20,6 @@
 #include "kernels/gemm.h"
 #include "kernels/microkernel.h"
 #include "kernels/pool2d.h"
-#include "kernels/winograd.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
 
@@ -233,20 +234,12 @@ TEST(SplitOp, SlicePatchMatchesManualCrop)
  * scheme.
  *
  * - under the scalar microkernel, fused im2col+GEMM is
- *   bitwise-identical to materializing each patch and running the
- *   im2col conv2dForward on it (same per-element accumulation order;
- *   the view reads the exact bytes the pad2d copy would have staged,
- *   and scheme paddings zero-fill the same positions); under SIMD the
- *   gemm() size heuristic may route the two sides to different
- *   kernels, so equality is only epsilon-close — the documented
- *   carve-out;
- * - fused Winograd is bitwise-identical (scalar microkernel) to
- *   materializing each patch and running conv2dForwardWinograd on it:
- *   the batched per-transform-point GEMMs accumulate channels in the
- *   same ascending order as the materializing kernel's, on the same
- *   transformed values;
- * - fused-vs-materialized always agrees within float tolerance even
- *   when the two sides round differently.
+ *   bitwise-identical to materializing each patch and running
+ *   conv2dForward on it (same per-element accumulation order; the
+ *   view reads the exact bytes the pad2d copy would have staged, and
+ *   scheme paddings zero-fill the same positions);
+ * - fused-vs-materialized always agrees within float tolerance under
+ *   whichever microkernel the environment picked.
  */
 struct HaloCase
 {
@@ -280,9 +273,8 @@ TEST(SplitOp, FusedIm2colMatchesMaterializedIm2col)
             Window2d::square(hc.k, hc.s, hc.p);
         const auto scheme =
             makeScheme(win, hc.ih, hc.iw, hc.nh, hc.nw);
-        // The per-patch oracle, pinned to the im2col kernel so the
-        // comparison is like-for-like (Auto would pick Winograd for
-        // 3x3/s1 and round differently).
+        // The per-patch oracle: the unsplit kernel on every
+        // materialized patch.
         auto materialized = [&] {
             return oracle::runSplitOp(
                 x, win, scheme,
@@ -293,59 +285,13 @@ TEST(SplitOp, FusedIm2colMatchesMaterializedIm2col)
         {
             // Bitwise under the scalar reference kernel.
             ScopedSimd pin(false);
-            Tensor fused = splitConv2dForwardFused(
-                x, w, b, win, scheme, /*use_winograd=*/false);
+            Tensor fused = splitConv2dForward(x, w, b, win, scheme);
             Tensor sref = materialized();
             ASSERT_EQ(fused.shape(), sref.shape()) << hc.name;
             EXPECT_TRUE(allClose(fused, sref, 0.0f)) << hc.name;
         }
         // Epsilon-close whichever kernel the environment picked.
-        Tensor fused = splitConv2dForwardFused(
-            x, w, b, win, scheme, /*use_winograd=*/false);
-        EXPECT_TRUE(allClose(fused, materialized(), 1e-4f))
-            << hc.name;
-    }
-}
-
-TEST(SplitOp, FusedWinogradBitwiseMatchesMaterialized)
-{
-    uint32_t seed = 60;
-    for (const auto &hc : kHaloCases) {
-        const Window2d win =
-            Window2d::square(hc.k, hc.s, hc.p);
-        if (!winogradApplicable(win))
-            continue;
-        Rng rng(++seed);
-        Tensor x(Shape{2, 3, hc.ih, hc.iw});
-        x.fillNormal(rng, 0.0f, 1.0f);
-        Tensor w(Shape{4, 3, 3, 3});
-        w.fillNormal(rng, 0.0f, 0.4f);
-        Tensor b(Shape{4});
-        b.fillNormal(rng, 0.0f, 0.4f);
-        const auto scheme =
-            makeScheme(win, hc.ih, hc.iw, hc.nh, hc.nw);
-        // The per-patch oracle pinned to the Winograd kernel so the
-        // comparison is like-for-like (Auto's cost model would pick
-        // im2col for these small channel counts).
-        auto materialized = [&] {
-            return oracle::runSplitOp(
-                x, win, scheme,
-                [&](const Tensor &patch, const Window2d &local) {
-                    return conv2dForwardWinograd(patch, w, b, local);
-                });
-        };
-        {
-            // Bitwise under the scalar reference kernel.
-            ScopedSimd pin(false);
-            Tensor fused = splitConv2dForwardFused(
-                x, w, b, win, scheme, /*use_winograd=*/true);
-            Tensor sref = materialized();
-            ASSERT_EQ(fused.shape(), sref.shape()) << hc.name;
-            EXPECT_TRUE(allClose(fused, sref, 0.0f)) << hc.name;
-        }
-        // Epsilon-close whichever kernel the environment picked.
-        Tensor fused = splitConv2dForwardFused(
-            x, w, b, win, scheme, /*use_winograd=*/true);
+        Tensor fused = splitConv2dForward(x, w, b, win, scheme);
         EXPECT_TRUE(allClose(fused, materialized(), 1e-4f))
             << hc.name;
     }
@@ -364,8 +310,7 @@ TEST(SplitOp, FusedMatchesMaterializedWithinTolerance)
             Window2d::square(hc.k, hc.s, hc.p);
         const auto scheme =
             makeScheme(win, hc.ih, hc.iw, hc.nh, hc.nw);
-        Tensor fused = splitConv2dForwardFused(
-            x, w, Tensor(), win, scheme, /*use_winograd=*/false);
+        Tensor fused = splitConv2dForward(x, w, Tensor(), win, scheme);
         Tensor ref = oracle::runSplitOp(
             x, win, scheme,
             [&](const Tensor &patch, const Window2d &local) {
@@ -479,10 +424,8 @@ TEST(SplitOp, WeightPanelCachePacksOncePerLayer)
     const auto scheme = makeScheme(win, 16, 16, 2, 2);
 
     const int64_t packs0 = gemmPackACalls();
-    Tensor first1 = splitConv2dForwardFused(x, w1, Tensor(), win,
-                                            scheme, false);
-    Tensor first2 = splitConv2dForwardFused(x, w2, Tensor(), win,
-                                            scheme, false);
+    Tensor first1 = splitConv2dForward(x, w1, Tensor(), win, scheme);
+    Tensor first2 = splitConv2dForward(x, w2, Tensor(), win, scheme);
     const int64_t packs_after_miss = gemmPackACalls();
     EXPECT_EQ(packs_after_miss - packs0, 2)
         << "two layers must pack exactly twice";
@@ -493,10 +436,8 @@ TEST(SplitOp, WeightPanelCachePacksOncePerLayer)
 
     // Second pass over the same "network": all hits, zero packs,
     // identical bytes.
-    Tensor again1 = splitConv2dForwardFused(x, w1, Tensor(), win,
-                                            scheme, false);
-    Tensor again2 = splitConv2dForwardFused(x, w2, Tensor(), win,
-                                            scheme, false);
+    Tensor again1 = splitConv2dForward(x, w1, Tensor(), win, scheme);
+    Tensor again2 = splitConv2dForward(x, w2, Tensor(), win, scheme);
     EXPECT_EQ(gemmPackACalls(), packs_after_miss)
         << "cache hits must not repack";
     stats = splitWeightCacheStats();
@@ -509,8 +450,7 @@ TEST(SplitOp, WeightPanelCachePacksOncePerLayer)
     // catch it and repack rather than serve stale panels.
     for (int64_t i = 0; i < w1.numel(); ++i)
         w1.at(i) += 0.25f;
-    Tensor updated = splitConv2dForwardFused(x, w1, Tensor(), win,
-                                             scheme, false);
+    Tensor updated = splitConv2dForward(x, w1, Tensor(), win, scheme);
     stats = splitWeightCacheStats();
     EXPECT_EQ(stats.misses, 3) << "stale entry must repack";
     Tensor fresh = oracle::runSplitOp(
@@ -523,29 +463,24 @@ TEST(SplitOp, WeightPanelCachePacksOncePerLayer)
     EXPECT_EQ(splitWeightCacheStats().entries, 0);
 }
 
-/** The Winograd kernel choice gets its own cache slot (its packed U
- * layout differs from the GEMM A panels for the same weights). */
-TEST(SplitOp, WeightPanelCacheKeyedByKernelChoice)
+/** The cache's 64-bit-word content hash must see a one-ulp change in
+ * any float — the odd tail float included — so an in-place update can
+ * never serve stale panels. */
+TEST(SplitOp, WeightCacheHashSeesEveryFloat)
 {
-    splitWeightCacheClear();
-    Rng rng(320);
-    Tensor x(Shape{1, 3, 16, 16});
-    x.fillNormal(rng, 0.0f, 1.0f);
-    Tensor w(Shape{4, 3, 3, 3});
-    w.fillNormal(rng, 0.0f, 0.4f);
-    const Window2d win = Window2d::square(3, 1, 1);
-    const auto scheme = makeScheme(win, 16, 16, 2, 2);
-
-    splitConv2dForwardFused(x, w, Tensor(), win, scheme, false);
-    splitConv2dForwardFused(x, w, Tensor(), win, scheme, true);
-    auto stats = splitWeightCacheStats();
-    EXPECT_EQ(stats.misses, 2) << "im2col and winograd panels are "
-                                  "distinct cache entries";
-    EXPECT_EQ(stats.entries, 2);
-    splitConv2dForwardFused(x, w, Tensor(), win, scheme, true);
-    stats = splitWeightCacheStats();
-    EXPECT_EQ(stats.hits, 1);
-    splitWeightCacheClear();
+    std::vector<float> w(1153);
+    for (size_t i = 0; i < w.size(); ++i)
+        w[i] = 0.001f * static_cast<float>(i);
+    const int64_t count = static_cast<int64_t>(w.size());
+    const uint64_t h0 = splitWeightCacheHash(w.data(), count);
+    for (size_t i = 0; i < w.size(); ++i) {
+        const float old = w[i];
+        w[i] = std::nextafter(old, 1e9f);
+        EXPECT_NE(splitWeightCacheHash(w.data(), count), h0) << i;
+        w[i] = old;
+    }
+    EXPECT_EQ(splitWeightCacheHash(w.data(), count), h0);
+    EXPECT_NE(splitWeightCacheHash(w.data(), count - 1), h0);
 }
 
 TEST(SplitOp, StochasticSchemeStillTilesOutput)

@@ -108,8 +108,8 @@ splitConvWgradFusedOrder(const Tensor &x, const Tensor &grad_out,
     const int64_t krows = c * win.kh * win.kw;
     const int64_t ospatial = out_h * out_w;
     const bool has_bias = grad_b.numel() > 0;
-    const std::vector<SplitBandItem> bands = splitConvBandItems(scheme.h);
-    const int64_t max_cols = maxBandRows(bands) * out_w;
+    const ConvWork work = convWork(n, krows, out_w, scheme.h);
+    const int64_t max_cols = work.max_cols;
 
     auto &arena = ScratchArena::tls();
     auto guard = arena.scope();
@@ -117,55 +117,78 @@ splitConvWgradFusedOrder(const Tensor &x, const Tensor &grad_out,
     float *pa_col = arena.alloc(gemmPackedASize(krows, max_cols));
     float *pb_got = arena.alloc(gemmPackedBSize(max_cols, oc));
     float *go_buf = arena.alloc(oc * max_cols);
-    float *gw_img = arena.alloc(krows * oc);
-    std::vector<float> gb_img(static_cast<size_t>(oc));
+    float *gw_unit = arena.alloc(krows * oc);
 
-    for (int64_t in = 0; in < n; ++in) {
-        const float *img = x.data() + in * c * ih * iw;
-        const float *go = grad_out.data() + in * oc * ospatial;
-        for (size_t bi = 0; bi < bands.size(); ++bi) {
-            const SplitBandItem &band = bands[bi];
-            const SplitPiece1d &ph = scheme.h.pieces[band.hi];
-            const int64_t nb = (band.oy1 - band.oy0) * out_w;
-            for (int pi = 0; pi < scheme.w.parts(); ++pi) {
-                const SplitPiece1d &pw = scheme.w.pieces[pi];
-                // Bounce-copy the patch rectangle; stage from the copy.
-                std::vector<float> patch(
-                    static_cast<size_t>(c * ph.inLen() * pw.inLen()));
-                for (int64_t ic = 0; ic < c; ++ic)
-                    for (int64_t y = 0; y < ph.inLen(); ++y) {
-                        const float *src = img + ic * ih * iw +
-                                           (ph.in_start + y) * iw +
-                                           pw.in_start;
-                        std::copy(src, src + pw.inLen(),
-                                  patch.data() +
-                                      (ic * ph.inLen() + y) * pw.inLen());
+    // Per reduction unit (an image's bands, or one image group), the
+    // item products chain (beta = 1); the unit's partial then folds
+    // into grad_w, units in order.
+    const int64_t per_unit = work.itemsPerUnit();
+    for (int64_t u = 0; u < work.units; ++u) {
+        for (int64_t t = 0; t < per_unit; ++t) {
+            const ConvWorkItem &item =
+                work.items[static_cast<size_t>(u * per_unit + t)];
+            const int64_t img_cols = item.rows * out_w;
+            const int64_t cols = item.imgs * img_cols;
+            for (int64_t j = 0; j < item.imgs; ++j) {
+                const float *img = x.data() + (item.img0 + j) * c * ih * iw;
+                for (int bi = item.band0; bi < item.band1; ++bi) {
+                    const SplitBandItem &band =
+                        work.bands[static_cast<size_t>(bi)];
+                    const SplitPiece1d &ph = scheme.h.pieces[band.hi];
+                    const int64_t off =
+                        j * img_cols +
+                        (ph.out_start + band.oy0 - item.row0) * out_w;
+                    for (int pi = 0; pi < scheme.w.parts(); ++pi) {
+                        const SplitPiece1d &pw = scheme.w.pieces[pi];
+                        // Bounce-copy the patch rectangle; stage from
+                        // the copy.
+                        std::vector<float> patch(static_cast<size_t>(
+                            c * ph.inLen() * pw.inLen()));
+                        for (int64_t ic = 0; ic < c; ++ic)
+                            for (int64_t y = 0; y < ph.inLen(); ++y) {
+                                const float *src = img + ic * ih * iw +
+                                                   (ph.in_start + y) * iw +
+                                                   pw.in_start;
+                                std::copy(src, src + pw.inLen(),
+                                          patch.data() +
+                                              (ic * ph.inLen() + y) *
+                                                  pw.inLen());
+                            }
+                        im2colViewStrided(
+                            patch.data(), c, ph.inLen(), pw.inLen(),
+                            PatchView::full(ph.inLen(), pw.inLen()),
+                            patchWindow(win, scheme, band.hi, pi), band.oy0,
+                            band.oy1, col + off + pw.out_start, cols,
+                            out_w);
                     }
-                im2colViewStrided(patch.data(), c, ph.inLen(), pw.inLen(),
-                                  PatchView::full(ph.inLen(), pw.inLen()),
-                                  patchWindow(win, scheme, band.hi, pi),
-                                  band.oy0, band.oy1, col + pw.out_start,
-                                  nb, out_w);
+                }
+                // The image's grad_out rows, copied contiguous.
+                const float *go = grad_out.data() +
+                                  (item.img0 + j) * oc * ospatial +
+                                  item.row0 * out_w;
+                for (int64_t o = 0; o < oc; ++o)
+                    std::copy(go + o * ospatial, go + o * ospatial + img_cols,
+                              go_buf + o * cols + j * img_cols);
             }
-            const float *go_band = go + (ph.out_start + band.oy0) * out_w;
-            for (int64_t o = 0; o < oc; ++o)
-                std::copy(go_band + o * ospatial,
-                          go_band + o * ospatial + nb, go_buf + o * nb);
-            gemmPackA(krows, nb, 1.0f, col, pa_col);
-            gemmPackBStrided(nb, oc, go_buf, /*rs=*/1, /*cs=*/nb, pb_got);
-            gemmPackedAB(krows, oc, nb, pa_col, pb_got,
-                         bi == 0 ? 0.0f : 1.0f, gw_img, oc);
+            gemmPackA(krows, cols, 1.0f, col, pa_col);
+            gemmPackBStrided(cols, oc, go_buf, /*rs=*/1, /*cs=*/cols,
+                             pb_got);
+            gemmPackedAB(krows, oc, cols, pa_col, pb_got,
+                         t == 0 ? 0.0f : 1.0f, gw_unit, oc);
         }
-        // gw_img is [krows x oc]; grad_w is [oc x krows].
+        // gw_unit is [krows x oc]; grad_w is [oc x krows].
         for (int64_t o = 0; o < oc; ++o)
             for (int64_t r = 0; r < krows; ++r)
-                grad_w.data()[o * krows + r] += gw_img[r * oc + o];
-        if (has_bias) {
-            std::fill(gb_img.begin(), gb_img.end(), 0.0f);
-            addRowSums(go, oc, ospatial, gb_img.data());
-            for (int64_t o = 0; o < oc; ++o)
-                grad_b.at(o) += gb_img[static_cast<size_t>(o)];
-        }
+                grad_w.data()[o * krows + r] += gw_unit[r * oc + o];
+    }
+    // Bias: each image's row sums, images in order.
+    std::vector<float> gb_img(static_cast<size_t>(oc));
+    for (int64_t in = 0; has_bias && in < n; ++in) {
+        std::fill(gb_img.begin(), gb_img.end(), 0.0f);
+        addRowSums(grad_out.data() + in * oc * ospatial, oc, ospatial,
+                   gb_img.data());
+        for (int64_t o = 0; o < oc; ++o)
+            grad_b.data()[o] += gb_img[static_cast<size_t>(o)];
     }
 }
 
@@ -239,7 +262,7 @@ graphForward(const Graph &graph, ParamStore &params, const Tensor &input,
             out = input;
             break;
           case OpKind::Conv2d:
-            out = conv2dForwardAuto(
+            out = conv2dForward(
                 val(n.inputs[0]), params.value(n.params[0]),
                 n.has_bias ? params.value(n.params[1]) : Tensor(), n.win);
             break;

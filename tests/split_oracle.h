@@ -72,15 +72,17 @@ void splitConvBackward(const Tensor &x, const Tensor &w,
                        Tensor &grad_w, Tensor &grad_b);
 
 /**
- * The fused conv wgrad's reduction order on bounce-buffered reads:
- * per image, each patch's rectangle is copied out and its im2col
- * columns are staged from the copy into the band's shared column
- * matrix, the band's grad_out rows are copied into a contiguous
- * buffer, and the band products chain (beta = 1) over the image's
- * bands ascending; per-image partials then reduce into @p grad_w
- * (and row sums into @p grad_b) in image order. Bitwise equal to
- * splitConv2dBackward's grad_w / grad_b under either microkernel,
- * while reading no patch through its parent-tensor view.
+ * The fused conv wgrad's reduction order on bounce-buffered reads,
+ * over convWork's documented decomposition: per work item, each
+ * patch's rectangle is copied out and its im2col columns are staged
+ * from the copy into the item's shared column matrix (an image
+ * group's images side by side), the item's grad_out rows are copied
+ * into a contiguous buffer, and the item products chain (beta = 1)
+ * over a reduction unit — a banded image's bands ascending, or the one
+ * GEMM of an image group; unit partials then reduce into @p grad_w in
+ * unit order, and each image's row sums into @p grad_b in image order.
+ * Bitwise equal to splitConv2dBackward's grad_w / grad_b under either
+ * microkernel, while reading no patch through its parent-tensor view.
  *
  * @param grad_w [out] accumulated into (shaped [OC, C, kh, kw]).
  * @param grad_b [out] accumulated into; empty when there is no bias.

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+#include <vector>
 
 #include "data/synthetic.h"
 #include "train/sgd.h"
@@ -46,6 +48,53 @@ TEST(Sgd, UpdatesFollowMomentumFormula)
     sgd.step(params);
     // v = 0.9*2 = 1.8, w = 0 - 0.9 = -0.9.
     EXPECT_FLOAT_EQ(params.value(0).at(0), -0.9f);
+}
+
+/** The raw-pointer update loop must produce exactly the bytes of the
+ * written-out per-element formula, over several steps with momentum,
+ * weight decay and non-trivial values. */
+TEST(Sgd, StepIsBitwiseTheWrittenOutFormula)
+{
+    GraphBuilder b;
+    TensorId x = b.input(Shape{2, 3, 4, 4});
+    x = b.conv2d(x, 5, Window2d::square(3, 1, 1), true, "conv");
+    x = b.flatten(x);
+    b.linear(x, 7, true, "fc");
+    Graph g = b.build();
+
+    Rng rng(4);
+    ParamStore params(g, rng);
+    const SgdConfig cfg{.lr = 0.037f, .momentum = 0.9f,
+                        .weight_decay = 3e-4f};
+    Sgd sgd(g, cfg);
+    // The formula's state: a copy of every value and a velocity.
+    std::vector<std::vector<float>> w, v;
+    for (size_t p = 0; p < params.size(); ++p) {
+        const Tensor &t = params.value(static_cast<ParamId>(p));
+        w.emplace_back(t.data(), t.data() + t.numel());
+        v.emplace_back(static_cast<size_t>(t.numel()), 0.0f);
+    }
+    for (int step = 0; step < 3; ++step) {
+        for (size_t p = 0; p < params.size(); ++p) {
+            Tensor &gr = params.grad(static_cast<ParamId>(p));
+            gr.fillNormal(rng, 0.0f, 1.0f);
+            for (int64_t i = 0; i < gr.numel(); ++i) {
+                float &wi = w[p][static_cast<size_t>(i)];
+                float &vi = v[p][static_cast<size_t>(i)];
+                const float grad = gr.at(i) + cfg.weight_decay * wi;
+                vi = cfg.momentum * vi + grad;
+                wi -= cfg.lr * vi;
+            }
+        }
+        sgd.step(params);
+        for (size_t p = 0; p < params.size(); ++p) {
+            const Tensor &t = params.value(static_cast<ParamId>(p));
+            ASSERT_EQ(std::memcmp(t.data(), w[p].data(),
+                                  w[p].size() * sizeof(float)),
+                      0)
+                << "param " << p << " step " << step;
+        }
+    }
 }
 
 TEST(Sgd, WeightDecayPullsTowardZero)

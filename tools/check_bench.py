@@ -62,10 +62,6 @@ SPLIT_BACKWARD_OVERHEAD_MAX = {
     "2x2": 1.15,
     "4x4": 1.15,
 }
-# The batched-GEMM Winograd kernel is benched on a shape the cost
-# model selects it for (64 channels), so it must not be materially
-# slower than im2col there (measured ~1.07x; 0.9 absorbs CI noise).
-WINOGRAD_SPEEDUP_MIN = 0.9
 # ---------------------------------------------------------------------------
 
 
@@ -194,12 +190,13 @@ def main():
                   f"{s['split_backward_overhead_ratio_1t']:.3f} "
                   f"(baseline "
                   f"{b.get('split_backward_overhead_ratio_1t', '?')})")
-        fw = fresh.get("winograd")
-        bw = baseline.get("winograd", {})
-        if fw:
-            print(f"  winograd_speedup "
-                  f"{fw['winograd_speedup']:.3f} "
-                  f"(baseline {bw.get('winograd_speedup', '?')})")
+        base_small = {r["workload"]: r
+                      for r in baseline.get("small_spatial_conv", [])}
+        for r in fresh.get("small_spatial_conv", []):
+            b = base_small.get(r["workload"], {})
+            print(f"  small conv {r['workload']}: {r['gflops']:.2f} "
+                  f"GFLOP/s (baseline {b.get('gflops', '?')}; "
+                  f"reported, not gated)")
         fi = fresh.get("im2col_strided")
         bi = baseline.get("im2col_strided", {})
         if fi:
@@ -283,19 +280,6 @@ def main():
         print(f"ok: im2col fill rates measured (stride1 "
               f"{i2c['stride1_fill_gbps']:.2f} GB/s, stride2 "
               f"{i2c['stride2_fill_gbps']:.2f} GB/s)")
-
-    wino = fresh.get("winograd")
-    if not wino:
-        rc |= fail("no winograd measurement in report")
-    elif wino["winograd_speedup"] < WINOGRAD_SPEEDUP_MIN:
-        rc |= fail(f"winograd_speedup "
-                   f"{wino['winograd_speedup']:.3f} "
-                   f"< {WINOGRAD_SPEEDUP_MIN} on a cost-model-"
-                   f"selected shape ({wino['workload']})")
-    else:
-        print(f"ok: winograd_speedup "
-              f"{wino['winograd_speedup']:.3f} >= "
-              f"{WINOGRAD_SPEEDUP_MIN}")
     return rc
 
 
