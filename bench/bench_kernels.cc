@@ -1,10 +1,10 @@
 /**
  * @file
  * Kernel performance report: measures the blocked GEMM against the
- * naive reference, im2col convolution forward, and the fused
- * zero-copy split conv across thread counts and split depths, then
- * writes machine-readable results to BENCH_kernels.json (path
- * overridable as argv[1]).
+ * naive reference and under each microkernel, im2col convolution
+ * forward, and the fused zero-copy split conv across thread counts
+ * and split depths, then writes machine-readable results to
+ * BENCH_kernels.json (path overridable as argv[1]).
  *
  * Workloads are width-reduced stand-ins for the Figure 8 layers (the
  * real fig08 harness drives the device *simulator*; this one times
@@ -72,8 +72,9 @@ struct GemmResult
     double blocked_gflops;
 };
 
-GemmResult
-benchGemm(const char *kind, GemmFn naive, GemmFn blocked, int64_t n)
+/** GF/s of one n x n x n call of @p fn under the active microkernel. */
+double
+gemmGflops(GemmFn fn, int64_t n)
 {
     Rng rng(1);
     std::vector<float> a(static_cast<size_t>(n * n));
@@ -83,19 +84,19 @@ benchGemm(const char *kind, GemmFn naive, GemmFn blocked, int64_t n)
         v = rng.normal();
     for (auto &v : b)
         v = rng.normal();
-    const double flops = 2.0 * n * n * n;
     // Repeat inside the timed region so small sizes aren't all noise.
     const int inner = n >= 256 ? 4 : 32;
-    const double tn = timeIt([&] {
+    const double t = timeIt([&] {
         for (int i = 0; i < inner; ++i)
-            naive(n, n, n, 1.0f, a.data(), b.data(), 0.0f, c.data());
+            fn(n, n, n, 1.0f, a.data(), b.data(), 0.0f, c.data());
     });
-    const double tb = timeIt([&] {
-        for (int i = 0; i < inner; ++i)
-            blocked(n, n, n, 1.0f, a.data(), b.data(), 0.0f, c.data());
-    });
-    return {kind, n, flops * inner / tn / 1e9,
-            flops * inner / tb / 1e9};
+    return 2.0 * n * n * n * inner / t / 1e9;
+}
+
+GemmResult
+benchGemm(const char *kind, GemmFn naive, GemmFn blocked, int64_t n)
+{
+    return {kind, n, gemmGflops(naive, n), gemmGflops(blocked, n)};
 }
 
 /** One split-conv measurement: fused split at a given depth and
@@ -130,6 +131,21 @@ main(int argc, char **argv)
         gemms.push_back(
             benchGemm("NT", gemmNTNaive, gemmNTBlocked, n));
     }
+
+    // --- blocked GEMM under each microkernel --------------------------
+    // 256^3 NN under the scalar reference and (when the CPU has it) the
+    // AVX2/FMA tile. The AVX2 tile does 8-wide FMAs against the scalar
+    // kernel's 4-wide mul+add; when its accumulators spill to the stack
+    // the ratio falls to ~1.4, and check_bench.py fails it below 2.
+    const bool simd_default = simdEnabled();
+    setSimdEnabled(false);
+    const double scalar_gflops = gemmGflops(gemmBlocked, 256);
+    double avx2_gflops = 0.0;
+    if (simdAvailable()) {
+        setSimdEnabled(true);
+        avx2_gflops = gemmGflops(gemmBlocked, 256);
+    }
+    setSimdEnabled(simd_default);
 
     // --- conv2d forward (fig08-style layer, width-reduced) -----------
     // VGG-19 conv3 block at 1/8 width: 16x56x56 input, 3x3 kernels.
@@ -356,8 +372,6 @@ main(int argc, char **argv)
         return 1;
     }
     std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"gemm_kernel_default\": \"%s\",\n",
-                 gemmKernelName());
     std::fprintf(f, "  \"simd_kernel\": \"%s\",\n", simdKernelName());
     std::fprintf(f, "  \"hardware_threads\": %u,\n", hw_threads);
     std::fprintf(f, "  \"gemm\": [\n");
@@ -373,6 +387,14 @@ main(int argc, char **argv)
                      i + 1 < gemms.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
+    char avx2_field[32] = "null";
+    if (simdAvailable())
+        std::snprintf(avx2_field, sizeof(avx2_field), "%.2f", avx2_gflops);
+    std::fprintf(f,
+                 "  \"microkernel_gflops\": {\"workload\": \"256^3 NN "
+                 "gemmBlocked, 1 thread\", \"scalar\": %.2f, "
+                 "\"avx2\": %s},\n",
+                 scalar_gflops, avx2_field);
     std::fprintf(f,
                  "  \"conv2d_forward\": {\"workload\": "
                  "\"4x16x56x56 * 16x16x3x3 (vgg19 conv3 @ 1/8 "
@@ -487,6 +509,9 @@ main(int argc, char **argv)
                     g.kind, static_cast<long long>(g.size),
                     g.naive_gflops, g.blocked_gflops,
                     g.blocked_gflops / g.naive_gflops);
+    std::printf("gemm 256 NN blocked: scalar %.2f GF/s, avx2 %.2f "
+                "GF/s\n",
+                scalar_gflops, avx2_gflops);
     std::printf("conv2d fwd (1t): %.3f ms\n", conv_ms);
     for (const auto &r : splits)
         std::printf("split %dx%d @ %dt: split %.3f ms, unsplit %.3f "

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "kernels/microkernel.h"
 #include "util/logging.h"
 
 namespace scnn {
@@ -9,18 +10,9 @@ namespace scnn {
 Tensor
 reluForward(const Tensor &x)
 {
-    Tensor out = x;
-    reluForwardInplace(out);
+    Tensor out = Tensor::uninitialized(x.shape());
+    activeMicrokernel().reluRow(out.data(), x.data(), x.numel());
     return out;
-}
-
-void
-reluForwardInplace(Tensor &x)
-{
-    float *p = x.data();
-    const int64_t n = x.numel();
-    for (int64_t i = 0; i < n; ++i)
-        p[i] = p[i] > 0.0f ? p[i] : 0.0f;
 }
 
 Tensor
@@ -29,12 +21,8 @@ reluBackward(const Tensor &y, const Tensor &grad_out)
     SCNN_CHECK(y.shape() == grad_out.shape(),
                "relu backward shape mismatch");
     Tensor grad_x = Tensor::uninitialized(y.shape());
-    const float *yp = y.data();
-    const float *gp = grad_out.data();
-    float *gx = grad_x.data();
-    const int64_t n = y.numel();
-    for (int64_t i = 0; i < n; ++i)
-        gx[i] = yp[i] > 0.0f ? gp[i] : 0.0f;
+    activeMicrokernel().reluGradRow(grad_x.data(), y.data(),
+                                    grad_out.data(), y.numel());
     return grad_x;
 }
 

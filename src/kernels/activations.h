@@ -12,14 +12,10 @@
 
 namespace scnn {
 
-/** ReLU forward (out-of-place). */
+/** ReLU forward (out-of-place): x > 0 ? x : +0 per element, so NaN
+ * and -0 map to +0. One pass through the active microkernel's
+ * reluRow. */
 Tensor reluForward(const Tensor &x);
-
-/**
- * ReLU forward computed in place; used by the HMMS in-place-ReLU
- * storage optimization. The backward pass only needs the output.
- */
-void reluForwardInplace(Tensor &x);
 
 /**
  * ReLU backward from the forward *output* (valid because

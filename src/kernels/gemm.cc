@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
-#include <string_view>
 
 #include "kernels/microkernel.h"
 #include "util/scratch_arena.h"
@@ -190,16 +188,11 @@ microTileEdge(const Microkernel &uk, int64_t kc, int64_t rows,
  * C += scale(A) * B with generic element strides: A(i,p) at
  * a[i*a_rs + p*a_cs] (scaled by a_scale during packing), B(p,j) at
  * b[p*b_rs + j*b_cs]. C is m x n row-major and is accumulated into.
- *
- * When @p packed_a is non-null it holds A pre-packed by gemmPackA
- * under the same active microkernel (blocks ordered pc-then-ic, each
- * roundUp(mc, mr) * kc floats) and the a/a_rs/a_cs/a_scale arguments
- * are ignored.
  */
 void
 blockedCore(int64_t m, int64_t n, int64_t k, const float *a, int64_t a_rs,
             int64_t a_cs, float a_scale, const float *b, int64_t b_rs,
-            int64_t b_cs, float *c, const float *packed_a = nullptr)
+            int64_t b_cs, float *c)
 {
     const Microkernel &uk = activeMicrokernel();
     const int64_t mr = uk.mr;
@@ -210,34 +203,24 @@ blockedCore(int64_t m, int64_t n, int64_t k, const float *a, int64_t a_rs,
     const int64_t mc_cap = std::min(MC, roundUp(m, mr));
     const int64_t kc_cap = std::min(KC, k);
     float *pb = arena.alloc(kc_cap * nc_cap);
-    float *pa =
-        packed_a ? nullptr : arena.alloc(roundUp(mc_cap, mr) * kc_cap);
+    float *pa = arena.alloc(roundUp(mc_cap, mr) * kc_cap);
 
     for (int64_t jc = 0; jc < n; jc += NC) {
         const int64_t nc = std::min(NC, n - jc);
-        const float *pa_cursor = packed_a;
         for (int64_t pc = 0; pc < k; pc += KC) {
             const int64_t kc = std::min(KC, k - pc);
             packB(kc, nc, b + pc * b_rs + jc * b_cs, b_rs, b_cs, nr,
                   pb);
             for (int64_t ic = 0; ic < m; ic += MC) {
                 const int64_t mc = std::min(MC, m - ic);
-                const float *pablock;
-                if (packed_a) {
-                    pablock = pa_cursor;
-                    pa_cursor += roundUp(mc, mr) * kc;
-                } else {
-                    packA(mc, kc, a + ic * a_rs + pc * a_cs, a_rs,
-                          a_cs, a_scale, mr, pa);
-                    pablock = pa;
-                }
+                packA(mc, kc, a + ic * a_rs + pc * a_cs, a_rs, a_cs,
+                      a_scale, mr, pa);
                 for (int64_t jr = 0; jr < nc; jr += nr) {
                     const int64_t cols = std::min(nr, nc - jr);
                     const float *pbp = pb + (jr / nr) * kc * nr;
                     for (int64_t ir = 0; ir < mc; ir += mr) {
                         const int64_t rows = std::min(mr, mc - ir);
-                        const float *pap =
-                            pablock + (ir / mr) * kc * mr;
+                        const float *pap = pa + (ir / mr) * kc * mr;
                         float *ct = c + (ic + ir) * n + jc + jr;
                         if (rows == mr && cols == nr)
                             uk.tile(kc, pap, pbp, ct, n);
@@ -249,25 +232,6 @@ blockedCore(int64_t m, int64_t n, int64_t k, const float *a, int64_t a_rs,
             }
         }
     }
-}
-
-bool
-envNaive()
-{
-    static const bool naive = [] {
-        const char *env = std::getenv("SCNN_GEMM");
-        return env != nullptr && std::string_view(env) == "naive";
-    }();
-    return naive;
-}
-
-/** Packing overhead swamps the win below a few K flops. At default
- * (scalar) dispatch both paths are bit-identical, so the cutover is
- * a pure perf choice. */
-bool
-useNaive(int64_t m, int64_t n, int64_t k)
-{
-    return envNaive() || m * n * k < 8 * 1024;
 }
 
 } // namespace
@@ -346,17 +310,7 @@ gemmPackedASize(int64_t m, int64_t k)
 void
 gemmPackA(int64_t m, int64_t k, float alpha, const float *a, float *pa)
 {
-    g_pack_a_calls.fetch_add(1, std::memory_order_relaxed);
-    const int64_t mr = activeMicrokernel().mr;
-    for (int64_t pc = 0; pc < k; pc += KC) {
-        const int64_t kc = std::min(KC, k - pc);
-        for (int64_t ic = 0; ic < m; ic += MC) {
-            const int64_t mc = std::min(MC, m - ic);
-            packA(mc, kc, a + ic * k + pc, /*rs=*/k, /*cs=*/1, alpha,
-                  mr, pa);
-            pa += roundUp(mc, mr) * kc;
-        }
-    }
+    gemmPackAStrided(m, k, alpha, a, /*rs=*/k, /*cs=*/1, pa);
 }
 
 void
@@ -375,23 +329,13 @@ gemmPackAStrided(int64_t m, int64_t k, float alpha, const float *a,
     }
 }
 
-void
-gemmPackedA(int64_t m, int64_t n, int64_t k, const float *pa,
-            const float *b, float beta, float *c)
-{
-    applyBeta(m, n, beta, c);
-    blockedCore(m, n, k, nullptr, 0, 0, 0.0f, b, /*b_rs=*/n,
-                /*b_cs=*/1, c, pa);
-}
-
 // ---------------------------------------------------------------------------
 // Pre-packed B panels: stage a KxN operand once in microkernel layout
-// and replay it across oc tiles and column chunks. The layout is
+// and multiply it against a packed A as often as needed. The layout is
 // slab-major — for KC slab pc the block starts at pc * roundUp(n, nr)
-// and holds the slab's nr-wide column panels back to back — so
-// consumers (and cooperative packers) can address any (slab, panel)
-// pair directly, unlike the jc-major transient layout blockedCore
-// uses internally.
+// and holds the slab's nr-wide column panels back to back — so a
+// consumer can address any (slab, panel) pair directly, unlike the
+// jc-major transient layout blockedCore uses internally.
 // ---------------------------------------------------------------------------
 
 int64_t
@@ -400,23 +344,15 @@ gemmPackedBSize(int64_t k, int64_t n)
     return k * roundUp(n, activeMicrokernel().nr);
 }
 
-int64_t
-gemmPackedBPanels(int64_t n)
-{
-    const int64_t nr = activeMicrokernel().nr;
-    return (n + nr - 1) / nr;
-}
-
 void
-gemmPackBPanels(int64_t k, int64_t n, const float *b, int64_t ldb,
-                int64_t j0, int64_t j1, float *pb)
+gemmPackB(int64_t k, int64_t n, const float *b, int64_t ldb, float *pb)
 {
     const int64_t nr = activeMicrokernel().nr;
     const int64_t n_round = roundUp(n, nr);
     for (int64_t pc = 0; pc < k; pc += KC) {
         const int64_t kc = std::min(KC, k - pc);
         float *slab = pb + pc * n_round;
-        for (int64_t j = j0; j < j1; ++j) {
+        for (int64_t j = 0; j * nr < n; ++j) {
             const int64_t jc = j * nr;
             const int64_t cols = std::min(nr, n - jc);
             float *dst = slab + j * kc * nr;
@@ -432,12 +368,6 @@ gemmPackBPanels(int64_t k, int64_t n, const float *b, int64_t ldb,
 }
 
 void
-gemmPackB(int64_t k, int64_t n, const float *b, int64_t ldb, float *pb)
-{
-    gemmPackBPanels(k, n, b, ldb, 0, gemmPackedBPanels(n), pb);
-}
-
-void
 gemmPackBStrided(int64_t k, int64_t n, const float *b, int64_t rs,
                  int64_t cs, float *pb)
 {
@@ -446,8 +376,7 @@ gemmPackBStrided(int64_t k, int64_t n, const float *b, int64_t rs,
     for (int64_t pc = 0; pc < k; pc += KC) {
         const int64_t kc = std::min(KC, k - pc);
         float *slab = pb + pc * n_round;
-        const int64_t panels = gemmPackedBPanels(n);
-        for (int64_t j = 0; j < panels; ++j) {
+        for (int64_t j = 0; j * nr < n; ++j) {
             const int64_t jc = j * nr;
             const int64_t cols = std::min(nr, n - jc);
             float *dst = slab + j * kc * nr;
@@ -463,27 +392,23 @@ gemmPackBStrided(int64_t k, int64_t n, const float *b, int64_t rs,
 }
 
 void
-gemmPackedABCols(int64_t m, int64_t n, int64_t k, const float *pa,
-                 const float *pb, int64_t j0, int64_t j1, float beta,
-                 float *c, int64_t ldc)
+gemmPackedAB(int64_t m, int64_t n, int64_t k, const float *pa,
+             const float *pb, float beta, float *c, int64_t ldc)
 {
     const Microkernel &uk = activeMicrokernel();
     const int64_t mr = uk.mr;
     const int64_t nr = uk.nr;
     const int64_t n_round = roundUp(n, nr);
-    const int64_t c0 = j0 * nr;
-    const int64_t c1 = std::min(n, j1 * nr);
 
-    // The naive kernels' beta pass, restricted to these columns.
+    // The naive kernels' beta pass, row by row over the strided C.
     if (beta != 1.0f) {
         for (int64_t i = 0; i < m; ++i) {
             float *crow = c + i * ldc;
             if (beta == 0.0f) {
-                std::memset(crow + c0, 0,
-                            static_cast<size_t>(c1 - c0) *
-                                sizeof(float));
+                std::memset(crow, 0,
+                            static_cast<size_t>(n) * sizeof(float));
             } else {
-                for (int64_t j = c0; j < c1; ++j)
+                for (int64_t j = 0; j < n; ++j)
                     crow[j] *= beta;
             }
         }
@@ -500,7 +425,7 @@ gemmPackedABCols(int64_t m, int64_t n, int64_t k, const float *pa,
             const int64_t mc = std::min(MC, m - ic);
             const float *pablock = pa_cursor;
             pa_cursor += roundUp(mc, mr) * kc;
-            for (int64_t j = j0; j < j1; ++j) {
+            for (int64_t j = 0; j * nr < n; ++j) {
                 const int64_t cols = std::min(nr, n - j * nr);
                 const float *pbp = slab + j * kc * nr;
                 for (int64_t ir = 0; ir < mc; ir += mr) {
@@ -519,47 +444,24 @@ gemmPackedABCols(int64_t m, int64_t n, int64_t k, const float *pa,
 }
 
 void
-gemmPackedAB(int64_t m, int64_t n, int64_t k, const float *pa,
-             const float *pb, float beta, float *c, int64_t ldc)
-{
-    gemmPackedABCols(m, n, k, pa, pb, 0, gemmPackedBPanels(n), beta, c,
-                     ldc);
-}
-
-const char *
-gemmKernelName()
-{
-    return envNaive() ? "naive" : "blocked";
-}
-
-void
 gemm(int64_t m, int64_t n, int64_t k, float alpha, const float *a,
      const float *b, float beta, float *c)
 {
-    if (useNaive(m, n, k))
-        gemmNaive(m, n, k, alpha, a, b, beta, c);
-    else
-        gemmBlocked(m, n, k, alpha, a, b, beta, c);
+    gemmBlocked(m, n, k, alpha, a, b, beta, c);
 }
 
 void
 gemmTN(int64_t m, int64_t n, int64_t k, float alpha, const float *a,
        const float *b, float beta, float *c)
 {
-    if (useNaive(m, n, k))
-        gemmTNNaive(m, n, k, alpha, a, b, beta, c);
-    else
-        gemmTNBlocked(m, n, k, alpha, a, b, beta, c);
+    gemmTNBlocked(m, n, k, alpha, a, b, beta, c);
 }
 
 void
 gemmNT(int64_t m, int64_t n, int64_t k, float alpha, const float *a,
        const float *b, float beta, float *c)
 {
-    if (useNaive(m, n, k))
-        gemmNTNaive(m, n, k, alpha, a, b, beta, c);
-    else
-        gemmNTBlocked(m, n, k, alpha, a, b, beta, c);
+    gemmNTBlocked(m, n, k, alpha, a, b, beta, c);
 }
 
 } // namespace scnn

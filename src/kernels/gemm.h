@@ -23,8 +23,9 @@
  * determinism carve-out; they remain deterministic for a given
  * problem at any thread count.
  *
- * `gemm`/`gemmTN`/`gemmNT` select at runtime: blocked by default,
- * naive for tiny problems or when SCNN_GEMM=naive is set.
+ * `gemm`/`gemmTN`/`gemmNT` always run the blocked kernels, so every
+ * call site rounds the same way for a given problem and microkernel;
+ * the naive kernels are kept only as the test oracle.
  */
 #ifndef SCNN_KERNELS_GEMM_H
 #define SCNN_KERNELS_GEMM_H
@@ -81,9 +82,9 @@ void gemmNTBlocked(int64_t m, int64_t n, int64_t k, float alpha,
  * @name Pre-packed A panels
  *
  * Pack a row-major MxK matrix A once (alpha folded in) and reuse the
- * panels across many gemmPackedA calls with different B operands —
- * split convolution packs its weight matrix once per layer instead
- * of once per patch-tile. The packed layout depends on the active
+ * panels across many gemmPackedAB calls with different B operands —
+ * convolution packs its weight matrix once per layer instead of once
+ * per band or image group. The packed layout depends on the active
  * microkernel, so pack and consume under the same SIMD selection.
  */
 ///@{
@@ -94,12 +95,6 @@ int64_t gemmPackedASize(int64_t m, int64_t k);
  * (gemmPackedASize(m, k) floats, 64-byte aligned for SIMD loads). */
 void gemmPackA(int64_t m, int64_t k, float alpha, const float *a,
                float *pa);
-
-/** C = packedA * B + beta * C; B is KxN row-major, C MxN row-major.
- * Bit-identical to gemmBlocked(m, n, k, alpha, a, b, beta, c) for
- * the alpha folded at pack time. */
-void gemmPackedA(int64_t m, int64_t n, int64_t k, const float *pa,
-                 const float *b, float beta, float *c);
 
 /** Number of gemmPackA calls since process start (monotonic). The
  * split executor's weight-panel cache asserts packs == layers with
@@ -121,13 +116,12 @@ void gemmPackAStrided(int64_t m, int64_t k, float alpha, const float *a,
 /**
  * @name Pre-packed B panels
  *
- * Pack a KxN B operand once into microkernel panels and replay it
- * across many GEMM calls — the split executor stages each im2col
- * patch-column panel once per call and consumes it across every
- * output-channel tile and column chunk without repacking. The layout
- * is slab-major (KC slabs ascending, nr-wide column panels within a
- * slab), so a consumer can walk any panel subrange independently;
- * like packed A, the layout depends on the active microkernel.
+ * Pack a KxN B operand once into microkernel panels and consume it
+ * with a packed A — the conv engine stages each band's or image
+ * group's im2col columns once and multiplies them against the
+ * layer's packed weights. The layout is slab-major (KC slabs
+ * ascending, nr-wide column panels within a slab); like packed A, it
+ * depends on the active microkernel.
  */
 ///@{
 /** Floats required for the packed representation of a KxN B. */
@@ -137,17 +131,6 @@ int64_t gemmPackedBSize(int64_t k, int64_t n);
  * (gemmPackedBSize(k, n) floats, 64-byte aligned for SIMD loads). */
 void gemmPackB(int64_t k, int64_t n, const float *b, int64_t ldb,
                float *pb);
-
-/** Pack only the nr-wide column panels [j0, j1) of B — every slab's
- * block for those panels. Disjoint panel ranges write disjoint bytes,
- * so workers can pack one B cooperatively. Panel p covers columns
- * [p*nr, min(n, (p+1)*nr)); the total panel count is
- * gemmPackedBPanels(n). */
-void gemmPackBPanels(int64_t k, int64_t n, const float *b, int64_t ldb,
-                     int64_t j0, int64_t j1, float *pb);
-
-/** Number of nr-wide column panels a KxN pack is divided into. */
-int64_t gemmPackedBPanels(int64_t n);
 
 /**
  * gemmPackB with explicit element strides: B(p, j) is read from
@@ -166,18 +149,7 @@ void gemmPackBStrided(int64_t k, int64_t n, const float *b, int64_t rs,
 void gemmPackedAB(int64_t m, int64_t n, int64_t k, const float *pa,
                   const float *pb, float beta, float *c, int64_t ldc);
 
-/** Compute only the C columns of panels [j0, j1): the parallel
- * building block behind gemmPackedAB. Panel ranges touch disjoint C
- * columns, so chunks fan out across workers with no repacking and no
- * change to any element's accumulation order. */
-void gemmPackedABCols(int64_t m, int64_t n, int64_t k, const float *pa,
-                      const float *pb, int64_t j0, int64_t j1,
-                      float beta, float *c, int64_t ldc);
 ///@}
-
-/** "blocked" or "naive": what the dispatchers currently select for
- * large problems (the SCNN_GEMM environment override). */
-const char *gemmKernelName();
 
 } // namespace scnn
 

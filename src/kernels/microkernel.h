@@ -20,10 +20,10 @@
  * forces the scalar path, anything else picks the best kernel the
  * CPU supports. Tests override programmatically via setSimdEnabled().
  *
- * The row helpers (copy/zero/bias-add) are exact in every variant —
- * copying bytes and a single add per element round identically in
- * scalar and SIMD form — so only the GEMM tile kernel participates in
- * the determinism carve-out.
+ * The row helpers (copy/zero/bias-add/ReLU) are exact in every
+ * variant — copying bytes, a single add per element and a compare
+ * select round identically in scalar and SIMD form — so only the GEMM
+ * tile kernel participates in the determinism carve-out.
  */
 #ifndef SCNN_KERNELS_MICROKERNEL_H
 #define SCNN_KERNELS_MICROKERNEL_H
@@ -34,7 +34,8 @@ namespace scnn {
 
 /**
  * One register-tiled GEMM inner kernel plus the row helpers the
- * im2col and bias loops use. All function pointers are non-null.
+ * im2col, bias and ReLU loops use. All function pointers are
+ * non-null.
  */
 struct Microkernel
 {
@@ -58,6 +59,15 @@ struct Microkernel
     /** dst[j] += b for j in [0, n) — one add per element, so the
      * result is bit-identical in scalar and SIMD form. */
     void (*addBiasRow)(float *dst, int64_t n, float b);
+
+    /** dst[j] = src[j] > 0 ? src[j] : +0 for j in [0, n): NaN, -0
+     * and negatives give +0 (ReLU forward; exact, branch-free). */
+    void (*reluRow)(float *dst, const float *src, int64_t n);
+
+    /** dst[j] = y[j] > 0 ? g[j] : +0 for j in [0, n), from the
+     * forward output y (ReLU backward; exact, branch-free). */
+    void (*reluGradRow)(float *dst, const float *y, const float *g,
+                        int64_t n);
 };
 
 /** The bitwise-stable reference kernel (always available). */

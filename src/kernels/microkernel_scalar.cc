@@ -113,14 +113,46 @@ addBiasRowScalar(float *dst, int64_t n, float b)
         dst[j] += b;
 }
 
+/** v with its bits ANDed by the all-ones mask when s > 0 (false for
+ * NaN) and by zero otherwise: exactly s > 0 ? v : +0, with no branch
+ * on the data (a `?:` here compiles to comiss + ja, which
+ * mispredicts about half the time on BN-normalized activations). */
+float
+selectPositive(float s, float v)
+{
+    const uint32_t mask = 0u - static_cast<uint32_t>(s > 0.0f);
+    uint32_t u;
+    std::memcpy(&u, &v, sizeof(u));
+    u &= mask;
+    std::memcpy(&v, &u, sizeof(v));
+    return v;
+}
+
+void
+reluRowScalar(float *__restrict dst, const float *__restrict src,
+              int64_t n)
+{
+    for (int64_t j = 0; j < n; ++j)
+        dst[j] = selectPositive(src[j], src[j]);
+}
+
+void
+reluGradRowScalar(float *__restrict dst, const float *__restrict y,
+                  const float *__restrict g, int64_t n)
+{
+    for (int64_t j = 0; j < n; ++j)
+        dst[j] = selectPositive(y[j], g[j]);
+}
+
 } // namespace
 
 const Microkernel &
 microkernelScalar()
 {
     static const Microkernel kernel = {
-        "scalar", MR,           NR,
-        tileScalar, copyRowScalar, zeroRowScalar, addBiasRowScalar,
+        "scalar",      MR,           NR,
+        tileScalar,    copyRowScalar, zeroRowScalar, addBiasRowScalar,
+        reluRowScalar, reluGradRowScalar,
     };
     return kernel;
 }

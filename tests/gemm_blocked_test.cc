@@ -156,8 +156,9 @@ TEST(GemmBlocked, BitwiseIdenticalToNaive)
             }
 }
 
-/** The dispatchers must agree with the naive reference regardless of
- * which implementation they pick (size heuristic). */
+/** The dispatchers run the blocked kernels at every size, down to
+ * 1x1x1, and must still agree with the naive reference bitwise under
+ * the scalar microkernel. */
 TEST(GemmBlocked, DispatchersBitwiseStable)
 {
     ScopedSimd scalar(false);
@@ -170,12 +171,6 @@ TEST(GemmBlocked, DispatchersBitwiseStable)
         compareKernels(gemmNTNaive, gemmNT, cs.m, cs.n, cs.k, 1.0f,
                        0.0f, ++seed, true);
     }
-}
-
-TEST(GemmBlocked, KernelNameReportsSelection)
-{
-    // SCNN_GEMM is unset in the test environment.
-    EXPECT_STREQ(gemmKernelName(), "blocked");
 }
 
 /** The determinism carve-out, stated as a test: the AVX2/FMA kernel
@@ -227,9 +222,11 @@ TEST(GemmBlocked, SimdMatchesScalarWithinTolerance)
     }
 }
 
-/** Packing A once and replaying it through gemmPackedA must produce
- * the same bytes as the one-shot blocked kernel — panel reuse across
- * split patches depends on this. Checked under both microkernels. */
+/** Packing A once and replaying it through gemmPackedAB must produce
+ * the same bytes as the one-shot blocked kernel — the conv engine's
+ * per-layer weight panels depend on this. Checked under both
+ * microkernels: the packed path walks the same KC slabs and tiles, so
+ * even the FMA kernel rounds identically. */
 TEST(GemmBlocked, PackedAReuseBitwiseMatchesBlocked)
 {
     for (const bool simd : {false, true}) {
@@ -251,13 +248,15 @@ TEST(GemmBlocked, PackedAReuseBitwiseMatchesBlocked)
 
             AlignedBuf pa(gemmPackedASize(cs.m, cs.k));
             gemmPackA(cs.m, cs.k, 1.0f, a.data(), pa.p);
+            AlignedBuf pb(gemmPackedBSize(cs.k, cs.n));
+            gemmPackB(cs.k, cs.n, b.data(), cs.n, pb.p);
             // Replay the packed panels twice: reuse must not mutate
             // them.
             for (int rep = 0; rep < 2; ++rep) {
                 std::vector<float> c_packed(
                     static_cast<size_t>(cs.m * cs.n), 0.0f);
-                gemmPackedA(cs.m, cs.n, cs.k, pa.p, b.data(), 0.0f,
-                            c_packed.data());
+                gemmPackedAB(cs.m, cs.n, cs.k, pa.p, pb.p, 0.0f,
+                             c_packed.data(), cs.n);
                 ASSERT_EQ(0, std::memcmp(c_ref.data(),
                                          c_packed.data(),
                                          c_ref.size() *
@@ -333,65 +332,62 @@ TEST(PackedB, ReplayMatchesBlocked)
     }
 }
 
-/** The parallel building blocks must be pure decompositions: packing
- * B panel-range by panel-range equals one gemmPackB byte-for-byte,
- * and consuming the panels in any column chunking equals one
- * gemmPackedAB byte-for-byte — under either microkernel. This is the
- * determinism argument for the split executor's cooperative
- * staging. */
-TEST(PackedB, PanelChunkingIsBitwiseStable)
+/** The AVX2 tile, pinned bit for bit: each C element is beta * C
+ * (beta in {0, 1}) followed by one correctly rounded fma per k step in
+ * ascending order — KC slab boundaries store and reload C exactly, so
+ * they do not show. Full 6x16 tiles and edge tiles (m, n off the tile
+ * grid, m past one MC block), depths inside one slab, exactly one
+ * slab and across two. A register-allocation change that reorders or
+ * fuses differently fails here, not as a drift in a figure. */
+TEST(PackedB, Avx2TileIsTheWrittenOutFmaChain)
 {
-    for (const bool simd : {false, true}) {
-        if (simd && !simdAvailable())
-            continue;
-        ScopedSimd pin(simd);
-        uint32_t seed = 7300;
-        for (const auto &cs : kCases) {
-            Rng rng(++seed);
-            std::vector<float> a(static_cast<size_t>(cs.m * cs.k));
-            std::vector<float> b(static_cast<size_t>(cs.k * cs.n));
-            fillRandom(a, rng);
-            fillRandom(b, rng);
+    if (!simdAvailable())
+        GTEST_SKIP() << "no AVX2 kernel on this build/CPU";
+    ScopedSimd simd(true);
+    const int64_t shapes[][2] = {{6, 16}, {12, 32}, {7, 17},
+                                 {13, 5},  {1, 40}, {130, 21}};
+    uint32_t seed = 7300;
+    for (const auto &mn : shapes) {
+        const int64_t m = mn[0], n = mn[1];
+        for (const int64_t k : {1, 5, 256, 300}) {
+            for (const float beta : {0.0f, 1.0f}) {
+                Rng rng(++seed);
+                std::vector<float> a(static_cast<size_t>(m * k));
+                std::vector<float> b(static_cast<size_t>(k * n));
+                std::vector<float> c(static_cast<size_t>(m * n));
+                fillRandom(a, rng);
+                fillRandom(b, rng);
+                fillRandom(c, rng);
 
-            AlignedBuf pa(gemmPackedASize(cs.m, cs.k));
-            gemmPackA(cs.m, cs.k, 1.0f, a.data(), pa.p);
+                std::vector<float> want = c;
+                for (int64_t i = 0; i < m; ++i)
+                    for (int64_t j = 0; j < n; ++j) {
+                        float acc = beta == 0.0f
+                                        ? 0.0f
+                                        : want[static_cast<size_t>(
+                                              i * n + j)];
+                        for (int64_t p = 0; p < k; ++p)
+                            acc = std::fma(
+                                a[static_cast<size_t>(i * k + p)],
+                                b[static_cast<size_t>(p * n + j)],
+                                acc);
+                        want[static_cast<size_t>(i * n + j)] = acc;
+                    }
 
-            const size_t pb_sz =
-                static_cast<size_t>(gemmPackedBSize(cs.k, cs.n));
-            AlignedBuf pb_once(static_cast<int64_t>(pb_sz));
-            gemmPackB(cs.k, cs.n, b.data(), cs.n, pb_once.p);
-
-            const int64_t panels = gemmPackedBPanels(cs.n);
-            AlignedBuf pb_coop(static_cast<int64_t>(pb_sz));
-            const int64_t mid = panels / 2;
-            gemmPackBPanels(cs.k, cs.n, b.data(), cs.n, 0, mid,
-                            pb_coop.p);
-            gemmPackBPanels(cs.k, cs.n, b.data(), cs.n, mid, panels,
-                            pb_coop.p);
-            ASSERT_EQ(0, std::memcmp(pb_once.p, pb_coop.p,
-                                     pb_sz * sizeof(float)))
-                << "cooperative pack differs (n=" << cs.n
-                << " simd=" << simd << ")";
-
-            std::vector<float> c_once(
-                static_cast<size_t>(cs.m * cs.n), 0.0f);
-            gemmPackedAB(cs.m, cs.n, cs.k, pa.p, pb_once.p, 0.0f,
-                         c_once.data(), cs.n);
-            for (const int64_t step : {int64_t{1}, int64_t{3},
-                                       std::max<int64_t>(1, mid)}) {
-                std::vector<float> c_chunk(
-                    static_cast<size_t>(cs.m * cs.n), 0.0f);
-                for (int64_t j0 = 0; j0 < panels; j0 += step)
-                    gemmPackedABCols(cs.m, cs.n, cs.k, pa.p,
-                                     pb_once.p, j0,
-                                     std::min(panels, j0 + step),
-                                     0.0f, c_chunk.data(), cs.n);
-                ASSERT_EQ(0,
-                          std::memcmp(c_once.data(), c_chunk.data(),
-                                      c_once.size() * sizeof(float)))
-                    << "column chunking step " << step
-                    << " differs (m=" << cs.m << " n=" << cs.n
-                    << " k=" << cs.k << " simd=" << simd << ")";
+                AlignedBuf pa(gemmPackedASize(m, k));
+                gemmPackA(m, k, 1.0f, a.data(), pa.p);
+                AlignedBuf pb(gemmPackedBSize(k, n));
+                gemmPackB(k, n, b.data(), n, pb.p);
+                gemmPackedAB(m, n, k, pa.p, pb.p, beta, c.data(), n);
+                for (int64_t i = 0; i < m * n; ++i) {
+                    uint32_t wb, gb;
+                    std::memcpy(&wb, &want[static_cast<size_t>(i)], 4);
+                    std::memcpy(&gb, &c[static_cast<size_t>(i)], 4);
+                    ASSERT_EQ(wb, gb)
+                        << "element (" << i / n << ", " << i % n
+                        << ") m=" << m << " n=" << n << " k=" << k
+                        << " beta=" << beta;
+                }
             }
         }
     }
