@@ -29,7 +29,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/split_op.h"
 #include "kernels/conv2d.h"
 #include "kernels/im2col.h"
 #include "kernels/gemm.h"
@@ -310,9 +309,10 @@ main(int argc, char **argv)
     // Same conv3-style layer as the forward sweep; the fused split
     // backward (dgrad + wgrad + bias) is timed against the unsplit
     // conv2dBackward at the same thread count. Both sides run the
-    // identical band-pipelined GEMM engine, so the ratio isolates the
-    // split bookkeeping (per-patch staging, halo scatter, cached W^T
-    // panel lookups) the zero-copy rewrite exists to keep near 1.0.
+    // identical band-pipelined GEMM engine and each packs its W^T
+    // panels once per call, so the ratio isolates the split
+    // bookkeeping (per-patch staging, halo scatter) the zero-copy
+    // rewrite exists to keep near 1.0.
     std::vector<SplitResult> backward_splits;
     {
         Rng brng(4);

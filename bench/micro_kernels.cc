@@ -1,14 +1,13 @@
 /**
  * @file
  * Kernel microbenchmarks (google-benchmark): GEMM, im2col
- * convolution, pooling, batchnorm, the weight-panel cache's content
- * hash against the pack it saves, and the split/concat tensor ops
+ * convolution, pooling, batchnorm, the weight-panel pack every conv
+ * call pays, and the split/concat tensor ops
  * that implement Split-CNN's Slice/Concat graph nodes. Not a paper
  * figure — sanity numbers for the CPU execution engine.
  */
 #include <benchmark/benchmark.h>
 
-#include "core/split_op.h"
 #include "kernels/batchnorm.h"
 #include "kernels/conv2d.h"
 #include "kernels/gemm.h"
@@ -114,22 +113,8 @@ BM_SplitConv2dForward(benchmark::State &state)
 }
 BENCHMARK(BM_SplitConv2dForward)->Arg(8)->Arg(16)->Arg(32);
 
-/** A 128x1152 weight (128 output channels, 128x3x3 inputs): what a
- * split-cache hit costs (the content hash) against what it saves
- * (packing the GEMM A panels). */
-void
-BM_WeightCacheHash(benchmark::State &state)
-{
-    Rng rng(7);
-    Tensor w(Shape{128, 128, 3, 3});
-    w.fillNormal(rng, 0.0f, 0.1f);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(splitWeightCacheHash(w.data(), w.numel()));
-    state.SetBytesProcessed(state.iterations() * w.numel() *
-                            int64_t(sizeof(float)));
-}
-BENCHMARK(BM_WeightCacheHash);
-
+/** A 128x1152 weight (128 output channels, 128x3x3 inputs) packed as
+ * GEMM A panels: what every conv forward pays once per call. */
 void
 BM_WeightPackA(benchmark::State &state)
 {

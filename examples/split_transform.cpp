@@ -12,7 +12,6 @@
  */
 #include <cstdio>
 
-#include "core/split_op.h"
 #include "kernels/split_scheme.h"
 #include "kernels/conv2d.h"
 #include "tensor/tensor_ops.h"

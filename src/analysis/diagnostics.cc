@@ -130,8 +130,7 @@ diagnosticCodes()
         {"SA602", DiagSeverity::Error,
          "work-item access outside the bounds of its region"},
         {"SA603", DiagSeverity::Error,
-         "write to a read-only shared region (weight panels, "
-         "cached panels, inputs)"},
+         "write to a read-only shared region (weight panels, inputs)"},
         {"SA604", DiagSeverity::Error,
          "access to a scratch-arena region owned by another work "
          "item"},

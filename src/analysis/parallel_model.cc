@@ -6,6 +6,7 @@
 
 #include "kernels/gemm.h"
 #include "train/executor.h"
+#include "util/logging.h"
 
 namespace scnn {
 
@@ -16,6 +17,16 @@ findParallelRegion(const ParallelPlan &plan, const std::string &name)
         if (plan.regions[i].name == name)
             return static_cast<int64_t>(i);
     return -1;
+}
+
+void
+checkParallelPlan(const ParallelPlan &plan)
+{
+    const std::vector<Diagnostic> diags = analyzeParallelPlan(plan);
+    SCNN_CHECK(diags.empty(), "parallel-safety lint: "
+                                  << diags.size() << " finding(s) in "
+                                  << plan.name << "; first: "
+                                  << diags.front().toString());
 }
 
 std::string
@@ -682,14 +693,14 @@ splitPoolPlan(int64_t n, int64_t c, int64_t ih, int64_t iw,
 
 ParallelPlan
 buildSplitPoolPlan(int64_t n, int64_t c, int64_t ih, int64_t iw,
-                   const Window2d &, const SplitScheme2d &scheme)
+                   const SplitScheme2d &scheme)
 {
     return splitPoolPlan(n, c, ih, iw, scheme, /*backward=*/false);
 }
 
 ParallelPlan
 buildSplitPoolBackwardPlan(int64_t n, int64_t c, int64_t ih, int64_t iw,
-                           const Window2d &, const SplitScheme2d &scheme)
+                           const SplitScheme2d &scheme)
 {
     return splitPoolPlan(n, c, ih, iw, scheme, /*backward=*/true);
 }
@@ -704,8 +715,8 @@ buildSplitConvBackwardPlan(int64_t n, int64_t c, int64_t ih,
     const int64_t out_h = scheme.h.pieces.back().out_end;
     const int64_t out_w = scheme.w.pieces.back().out_end;
     const int64_t krows = c * win.kh * win.kw;
-    // The dgrad operand: W^T packed A panels (krows x oc), cached per
-    // (layer, split) like the forward panels.
+    // The dgrad operand: W^T packed A panels (krows x oc), packed once
+    // per call like the forward panels.
     const int64_t panel_floats = gemmPackedASize(krows, oc);
 
     ParallelRegion gx_region;
@@ -982,8 +993,8 @@ buildRegionNodePlans(const Graph &graph)
           case OpKind::MaxPool2d:
           case OpKind::AvgPool2d:
             node_plans = {
-                buildSplitPoolPlan(n, c, ih, iw, e.win, e.scheme),
-                buildSplitPoolBackwardPlan(n, c, ih, iw, e.win, e.scheme)};
+                buildSplitPoolPlan(n, c, ih, iw, e.scheme),
+                buildSplitPoolBackwardPlan(n, c, ih, iw, e.scheme)};
             break;
           case OpKind::BatchNorm:
             node_plans = {buildSplitBatchNormPlan(
@@ -1191,8 +1202,7 @@ analyzeParallelExecution(const Graph &graph, int splits_h,
             n.kind == OpKind::Conv2d
                 ? buildSplitConvPlan(n_model, c, ih, iw,
                                      oshape.dim(1), n.win, scheme)
-                : buildSplitPoolPlan(n_model, c, ih, iw, n.win,
-                                     scheme);
+                : buildSplitPoolPlan(n_model, c, ih, iw, scheme);
         {
             std::ostringstream os;
             os << plan.name << ":" << n.name << "[" << hp << "x"
@@ -1210,8 +1220,7 @@ analyzeParallelExecution(const Graph &graph, int splits_h,
                 ? buildSplitConvBackwardPlan(n_model, c, ih, iw,
                                              oshape.dim(1), n.win,
                                              scheme)
-                : buildSplitPoolBackwardPlan(n_model, c, ih, iw,
-                                             n.win, scheme);
+                : buildSplitPoolBackwardPlan(n_model, c, ih, iw, scheme);
         {
             std::ostringstream os;
             os << bplan.name << ":" << n.name << "[" << hp << "x"

@@ -14,8 +14,7 @@
  *   SA601  same-epoch items with overlapping write sets (or a
  *          write overlapping another item's read) — a data race
  *   SA602  an access outside the region's bounds
- *   SA603  a write to a read-only region (weight panels, cached
- *          panels, inputs)
+ *   SA603  a write to a read-only region (weight panels, inputs)
  *   SA604  an access to a scratch-arena region owned by another item
  *   SA605  in an `ordered` region, a read of a slot with no write in
  *          any earlier epoch (happens-before violation)
@@ -41,7 +40,7 @@
  * computeExecutionWaves), so the model cannot silently diverge from
  * the code it describes:
  *
- *  - buildSplitConvPlan: conv2dForwardPatches' convWork items — one
+ *  - buildSplitConvPlan: splitConv2dForward's convWork items — one
  *    row band of one image, or every band of an image group. Per
  *    image, an item writes its output rows of every output channel
  *    at the parent channel stride (one span
@@ -76,8 +75,8 @@
 #include <vector>
 
 #include "analysis/diagnostics.h"
-#include "core/split_op.h"
 #include "graph/graph.h"
+#include "kernels/split_scheme.h"
 
 namespace scnn {
 
@@ -171,8 +170,12 @@ std::string parallelItemName(const ParallelPlan &plan, int64_t item);
  */
 std::vector<Diagnostic> analyzeParallelPlan(const ParallelPlan &plan);
 
+/** Panic with the first finding unless analyzeParallelPlan(@p plan)
+ * is clean: the check behind every lintParallelEnabled() hook. */
+void checkParallelPlan(const ParallelPlan &plan);
+
 /**
- * Model conv2dForwardPatches (splitConv2dForward) for @p n images of a
+ * Model splitConv2dForward for @p n images of a
  * C x ih x iw input under @p scheme. Reads are modeled as each patch's
  * halo rectangle (a conservative contiguous hull per patch and image —
  * exactly what the shadow recorder logs).
@@ -184,17 +187,16 @@ ParallelPlan buildSplitConvPlan(int64_t n, int64_t c, int64_t ih,
 
 /** Model the fused split-pool paths (image x patch items). */
 ParallelPlan buildSplitPoolPlan(int64_t n, int64_t c, int64_t ih,
-                                int64_t iw, const Window2d &win,
-                                const SplitScheme2d &scheme);
+                                int64_t iw, const SplitScheme2d &scheme);
 
 /**
- * Model conv2dBackwardPatches (splitConv2dBackward): wgrad reduction
+ * Model splitConv2dBackward: wgrad reduction
  * units (images, or image groups) fan out across workers, and a
  * worker runs its unit's convWork items serially ascending — so the
  * plan's epochs encode that per-unit serial order. Per item: grad_x
  * scatter hulls (band-restricted, mirroring col2imViewStrided, per
  * image) land in the `ordered_accum` grad_x region, grad_out rows and
- * patch input hulls are read, the cached dgrad (W^T) panels are
+ * patch input hulls are read, the packed dgrad (W^T) panels are
  * shared read-only, and the unit's wgrad partial accumulator chains
  * items under the same ordered discipline. A per-image bias item then
  * reduces grad_out rows into its slot of the unit's accumulator, and
@@ -225,7 +227,6 @@ int64_t convModelBatch(int64_t n, int64_t krows,
  */
 ParallelPlan buildSplitPoolBackwardPlan(int64_t n, int64_t c,
                                         int64_t ih, int64_t iw,
-                                        const Window2d &win,
                                         const SplitScheme2d &scheme);
 
 /**
@@ -280,8 +281,8 @@ std::vector<Diagnostic> analyzeParallelExecution(const Graph &graph,
                                                  int splits_w);
 
 /**
- * Whether the parallel-safety debug hooks (split dispatchers,
- * Executor construction) are active: compiled in for !NDEBUG builds,
+ * Whether the parallel-safety debug hooks (split conv, pool and BN
+ * calls with more than one patch, Executor construction) are active: compiled in for !NDEBUG builds,
  * switchable at run time with SCNN_LINT_PARALLEL=1/0. The same
  * contract as lintPlansEnabled().
  */

@@ -359,4 +359,12 @@ shadowRecordSpan(const void *ptr, const StridedSpan &span, bool write)
     append(impl, ptr, span, write);
 }
 
+void
+shadowRecordPatch(const float *img, int64_t c, int64_t ih, int64_t iw,
+                  const PatchView &view, bool write)
+{
+    shadowRecord(img + view.r0 * iw + view.c0,
+                 (c - 1) * ih * iw + (view.ih - 1) * iw + view.iw, write);
+}
+
 } // namespace scnn

@@ -10,19 +10,22 @@
  * distinct from the SA601-SA606 codes, which indict the plan.
  *
  * Protocol:
- *   1. A dispatcher builds the ParallelPlan for the execution it is
- *      about to run and opens a ShadowSession with it.
+ *   1. A split call with more than one patch builds the
+ *      ParallelPlan for the execution it is about to run and opens a
+ *      ShadowSession with it.
  *   2. It binds each plan region's name to the region's runtime base
  *      pointer (output tensor, input tensor, packed panels).
  *      Scratch-arena regions stay unbound: arena buffers are
  *      recycled across items by each worker thread, so pointer
  *      identity cannot attribute them to items — their legality is
  *      proved statically (SA604) instead.
- *   3. Work loops call shadowSetItem(i) before running item i;
- *      instrumented kernels call shadowRecord/shadowRecordSpan with
- *      raw pointers. Recording is a no-op (one relaxed atomic load)
- *      when no session is active.
- *   4. The dispatcher calls check(): every record is resolved to
+ *   3. Its work loops call shadowSetItem(i) before running item i
+ *      and record the item's claims (shadowRecord, shadowRecordSpan,
+ *      shadowRecordPatch) with raw pointers, only while they hold
+ *      the session, so a one-patch call running beside it records
+ *      nothing. Recording is a no-op (one relaxed atomic load) when
+ *      no session is active.
+ *   4. The call runs check(): every record is resolved to
  *      (region, offset) through the bindings and must be contained
  *      in the union of its item's predicted spans — writes within
  *      the item's write set, reads within its read+write set. A
@@ -70,8 +73,8 @@ void shadowAccessResetStats();
 
 /**
  * One recording scope. At most one session is active per process
- * (the fused dispatchers never nest); constructing a second while
- * one is active is a bug and panics.
+ * (split calls never nest, and one-patch calls open none);
+ * constructing a second while one is active is a bug and panics.
  */
 class ShadowSession
 {
@@ -125,6 +128,12 @@ void shadowRecord(const void *ptr, int64_t len_floats, bool write);
  * (span.base is honored). */
 void shadowRecordSpan(const void *ptr, const StridedSpan &span,
                       bool write);
+
+/** Record patch @p view of a C x ih x iw parent image @p img as its
+ * contiguous hull: channel 0's first rectangle float through channel
+ * c-1's last (the span the SA6xx models predict for a patch). */
+void shadowRecordPatch(const float *img, int64_t c, int64_t ih,
+                       int64_t iw, const PatchView &view, bool write);
 
 } // namespace scnn
 

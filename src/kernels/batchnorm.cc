@@ -57,18 +57,21 @@ recordChannel(int64_t item, const Shape &s, int64_t ic,
         shadowRecordSpan(p, plane, true);
 }
 
-/**
- * Forward shared by the unsplit (one full patch) and split entry
- * points: batch statistics per (patch, channel) over the patch's
- * view, one channel per work item.
- * Only split calls (@p split) open a shadow session: the process
- * holds one, and the executor runs unsplit batchnorm nodes side by
- * side in its parallel waves.
- */
+/** The whole plane as the single patch of an unsplit layer. */
+std::vector<PatchView>
+fullPlane(const Shape &s)
+{
+    SCNN_REQUIRE(s.rank() == 4, "batchnorm input must be NCHW");
+    return {PatchView::full(s.dim(2), s.dim(3))};
+}
+
+} // namespace
+
 Tensor
-forwardStatsImpl(const Tensor &x, const std::vector<PatchView> &patches,
-                 const Tensor &gamma, const Tensor &beta, float eps,
-                 BatchNormCache &cache, bool split)
+splitBatchNormForwardStats(const Tensor &x,
+                           const std::vector<PatchView> &patches,
+                           const Tensor &gamma, const Tensor &beta,
+                           float eps, BatchNormCache &cache)
 {
     const Shape &s = x.shape();
     checkPatches(s, patches);
@@ -82,7 +85,7 @@ forwardStatsImpl(const Tensor &x, const std::vector<PatchView> &patches,
     cache.x_hat = Tensor::uninitialized(s);
     Tensor out = Tensor::uninitialized(s);
     const auto shadow =
-        split && shadowAccessEnabled()
+        parts > 1 && shadowAccessEnabled()
             ? openShadowSession(buildSplitBatchNormPlan(s.dim(0), c, s.dim(2),
                                                         s.dim(3), patches),
                                 {{"input", x.data()},
@@ -128,11 +131,11 @@ forwardStatsImpl(const Tensor &x, const std::vector<PatchView> &patches,
     return out;
 }
 
-/** Backward shared by the unsplit and split entry points. */
 Tensor
-backwardImpl(const Tensor &grad_out, const std::vector<PatchView> &patches,
-             const Tensor &gamma, const BatchNormCache &cache,
-             Tensor &grad_gamma, Tensor &grad_beta, bool split)
+splitBatchNormBackward(const Tensor &grad_out,
+                       const std::vector<PatchView> &patches,
+                       const Tensor &gamma, const BatchNormCache &cache,
+                       Tensor &grad_gamma, Tensor &grad_beta)
 {
     const Shape &s = grad_out.shape();
     checkPatches(s, patches);
@@ -142,7 +145,7 @@ backwardImpl(const Tensor &grad_out, const std::vector<PatchView> &patches,
                "batchnorm cache does not match the backward input");
     Tensor grad_x = Tensor::uninitialized(s);
     const auto shadow =
-        split && shadowAccessEnabled()
+        parts > 1 && shadowAccessEnabled()
             ? openShadowSession(buildSplitBatchNormPlan(s.dim(0), c, s.dim(2),
                                                         s.dim(3), patches),
                                 {{"grad_out", grad_out.data()},
@@ -191,35 +194,6 @@ backwardImpl(const Tensor &grad_out, const std::vector<PatchView> &patches,
     return grad_x;
 }
 
-/** The whole plane as the single patch of an unsplit layer. */
-std::vector<PatchView>
-fullPlane(const Shape &s)
-{
-    SCNN_REQUIRE(s.rank() == 4, "batchnorm input must be NCHW");
-    return {PatchView::full(s.dim(2), s.dim(3))};
-}
-
-} // namespace
-
-Tensor
-batchNormForwardStats(const Tensor &x, const Tensor &gamma,
-                      const Tensor &beta, float eps,
-                      BatchNormCache &cache)
-{
-    return forwardStatsImpl(x, fullPlane(x.shape()), gamma, beta, eps,
-                            cache, /*split=*/false);
-}
-
-Tensor
-splitBatchNormForwardStats(const Tensor &x,
-                           const std::vector<PatchView> &patches,
-                           const Tensor &gamma, const Tensor &beta,
-                           float eps, BatchNormCache &cache)
-{
-    return forwardStatsImpl(x, patches, gamma, beta, eps, cache,
-                            /*split=*/true);
-}
-
 void
 applyBatchNormRunningUpdate(const BatchNormCache &cache, float momentum,
                             Tensor &running_mean, Tensor &running_var)
@@ -242,7 +216,8 @@ batchNormForward(const Tensor &x, const Tensor &gamma, const Tensor &beta,
                  Tensor &running_mean, Tensor &running_var,
                  float momentum, float eps, BatchNormCache &cache)
 {
-    Tensor out = batchNormForwardStats(x, gamma, beta, eps, cache);
+    Tensor out = splitBatchNormForwardStats(x, fullPlane(x.shape()), gamma,
+                                            beta, eps, cache);
     applyBatchNormRunningUpdate(cache, momentum, running_mean,
                                 running_var);
     return out;
@@ -277,18 +252,8 @@ batchNormBackward(const Tensor &grad_out, const Tensor &gamma,
                   const BatchNormCache &cache, Tensor &grad_gamma,
                   Tensor &grad_beta)
 {
-    return backwardImpl(grad_out, fullPlane(grad_out.shape()), gamma,
-                        cache, grad_gamma, grad_beta, /*split=*/false);
-}
-
-Tensor
-splitBatchNormBackward(const Tensor &grad_out,
-                       const std::vector<PatchView> &patches,
-                       const Tensor &gamma, const BatchNormCache &cache,
-                       Tensor &grad_gamma, Tensor &grad_beta)
-{
-    return backwardImpl(grad_out, patches, gamma, cache, grad_gamma,
-                        grad_beta, /*split=*/true);
+    return splitBatchNormBackward(grad_out, fullPlane(grad_out.shape()),
+                                  gamma, cache, grad_gamma, grad_beta);
 }
 
 } // namespace scnn

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "analysis/parallel_model.h"
 #include "analysis/shadow_access.h"
 #include "kernels/gemm.h"
 #include "kernels/im2col.h"
@@ -14,16 +15,6 @@
 namespace scnn {
 
 namespace {
-
-/** The unsplit conv as a split scheme: the whole image is the patch. */
-SplitScheme2d
-wholeImageScheme(const Window2d &win, int64_t ih, int64_t iw)
-{
-    SplitScheme2d whole;
-    whole.h.pieces = {{0, ih, 0, win.outH(ih), win.ph_b, win.ph_e}};
-    whole.w.pieces = {{0, iw, 0, win.outW(iw), win.pw_b, win.pw_e}};
-    return whole;
-}
 
 /**
  * Call fn(image, col_offset, view, local_window, oy0, oy1) for every
@@ -58,6 +49,24 @@ forEachItemPatch(const ConvWork &work, const ConvWorkItem &item,
         }
 }
 
+/** Shadow claim of one band's dgrad scatter: the patch rows that
+ * output rows [oy0, oy1) can touch (the band-restricted hull the
+ * SA6xx backward model predicts), nothing when every window element
+ * of the band is local padding. */
+void
+recordScatterHull(const float *img, int64_t c, int64_t ih, int64_t iw,
+                  const PatchView &view, const Window2d &win, int64_t oy0,
+                  int64_t oy1)
+{
+    const int64_t iy_lo = std::max<int64_t>(0, oy0 * win.sh - win.ph_b);
+    const int64_t iy_hi = std::min<int64_t>(
+        view.ih, (oy1 - 1) * win.sh - win.ph_b + win.kh);
+    if (iy_lo < iy_hi)
+        shadowRecordPatch(img, c, ih, iw,
+                          {view.r0 + iy_lo, view.c0, iy_hi - iy_lo, view.iw},
+                          true);
+}
+
 } // namespace
 
 Tensor
@@ -65,24 +74,15 @@ conv2dForward(const Tensor &x, const Tensor &weight, const Tensor &bias,
               const Window2d &win)
 {
     SCNN_REQUIRE(x.shape().rank() == 4, "conv2d input must be NCHW");
-    SCNN_REQUIRE(weight.shape().rank() == 4,
-                 "conv2d weight must be [OC, C, kh, kw]");
-    const int64_t oc = weight.shape().dim(0);
-    const int64_t krows =
-        weight.shape().dim(1) * weight.shape().dim(2) * weight.shape().dim(3);
-    auto &arena = ScratchArena::tls();
-    auto guard = arena.scope();
-    float *panels = arena.alloc(gemmPackedASize(oc, krows));
-    gemmPackA(oc, krows, 1.0f, weight.data(), panels);
-    return conv2dForwardPatches(
-        x, weight, panels, bias, win,
+    return splitConv2dForward(
+        x, weight, bias, win,
         wholeImageScheme(win, x.shape().dim(2), x.shape().dim(3)));
 }
 
 Tensor
-conv2dForwardPatches(const Tensor &x, const Tensor &weight,
-                     const float *w_panels, const Tensor &bias,
-                     const Window2d &win, const SplitScheme2d &scheme)
+splitConv2dForward(const Tensor &x, const Tensor &weight,
+                   const Tensor &bias, const Window2d &win,
+                   const SplitScheme2d &scheme)
 {
     SCNN_REQUIRE(x.shape().rank() == 4, "conv2d input must be NCHW");
     SCNN_REQUIRE(weight.shape().rank() == 4,
@@ -111,12 +111,31 @@ conv2dForwardPatches(const Tensor &x, const Tensor &weight,
 
     const int64_t krows = c * win.kh * win.kw;
     const int64_t ospatial = out_h * out_w;
+    const bool split = scheme.parts() > 1;
+    if (split && lintParallelEnabled())
+        checkParallelPlan(buildSplitConvPlan(
+            convModelBatch(n, krows, scheme), c, ih, iw, oc, win, scheme));
     const int64_t panel_floats = gemmPackedASize(oc, krows);
     const ConvWork work = convWork(n, krows, out_w, scheme.h);
+
+    // The weight panels, packed once per call and shared read-only by
+    // every worker.
+    auto &arena = ScratchArena::tls();
+    auto guard = arena.scope();
+    float *w_panels = arena.alloc(panel_floats);
+    gemmPackA(oc, krows, 1.0f, weight.data(), w_panels);
 
     // Every element of out is written by exactly one item's GEMM
     // (beta = 0), so the allocation skips its zero-fill.
     Tensor out = Tensor::uninitialized(Shape{n, oc, out_h, out_w});
+    const auto shadow =
+        split && shadowAccessEnabled()
+            ? openShadowSession(
+                  buildSplitConvPlan(n, c, ih, iw, oc, win, scheme),
+                  {{"input", x.data()},
+                   {"weight_panels", w_panels},
+                   {"output", out.data()}})
+            : nullptr;
     globalPool().parallelFor(
         static_cast<int64_t>(work.items.size()),
         [&](int64_t begin, int64_t end) {
@@ -137,21 +156,25 @@ conv2dForwardPatches(const Tensor &x, const Tensor &weight,
                            item.row0 * out_w;
                 };
                 // Shadow claims: the item's output rows of every
-                // channel, per image, and the shared panel read.
-                // Input halo reads are recorded by im2colViewStrided.
-                shadowSetItem(i);
-                shadowRecord(w_panels, panel_floats, false);
-                for (int64_t j = 0; j < item.imgs; ++j)
-                    shadowRecordSpan(c_img(j),
-                                     {0, oc, ospatial, 1, 0, img_cols},
-                                     true);
+                // channel, per image, the shared panel read, and
+                // each staged patch's input hull.
+                if (shadow) {
+                    shadowSetItem(i);
+                    shadowRecord(w_panels, panel_floats, false);
+                    for (int64_t j = 0; j < item.imgs; ++j)
+                        shadowRecordSpan(c_img(j),
+                                         {0, oc, ospatial, 1, 0, img_cols},
+                                         true);
+                }
                 forEachItemPatch(
                     work, item, win, scheme, out_w,
                     [&](int64_t in, int64_t off, const PatchView &view,
                         const Window2d &local, int64_t oy0, int64_t oy1) {
-                        im2colViewStrided(x.data() + in * c * ih * iw, c,
-                                          ih, iw, view, local, oy0, oy1,
-                                          col + off, cols, out_w);
+                        const float *img = x.data() + in * c * ih * iw;
+                        if (shadow)
+                            shadowRecordPatch(img, c, ih, iw, view, false);
+                        im2colViewStrided(img, c, ih, iw, view, local, oy0,
+                                          oy1, col + off, cols, out_w);
                     });
                 gemmPackB(krows, cols, col, cols, pb);
                 // One image writes its output rows in place; a group
@@ -175,6 +198,7 @@ conv2dForwardPatches(const Tensor &x, const Tensor &weight,
                                           bias.data()[o]);
             }
         });
+    checkShadowSession(shadow, "split conv");
     return out;
 }
 
@@ -183,51 +207,45 @@ conv2dBackward(const Tensor &x, const Tensor &weight,
                const Tensor &grad_out, const Window2d &win,
                Tensor &grad_x, Tensor &grad_w, Tensor &grad_b)
 {
-    SCNN_REQUIRE(x.shape().rank() == 4 && weight.shape().rank() == 4,
-                 "conv2d backward needs NCHW input and OIHW weight");
-    const int64_t oc = weight.shape().dim(0);
-    const int64_t krows = x.shape().dim(1) * win.kh * win.kw;
-    SCNN_REQUIRE(weight.numel() == oc * krows,
-                 "conv2d weight does not match the input");
-    auto &arena = ScratchArena::tls();
-    auto guard = arena.scope();
-    // W^T panels: A(i, p) = weight[p * krows + i], shared read-only.
-    float *pa_wt = arena.alloc(gemmPackedASize(krows, oc));
-    gemmPackAStrided(krows, oc, 1.0f, weight.data(), /*rs=*/1,
-                     /*cs=*/krows, pa_wt);
-    grad_x = Tensor(x.shape()); // zero: col2im scatter-adds into it
-    conv2dBackwardPatches(
-        x, pa_wt, grad_out, win,
+    SCNN_REQUIRE(x.shape().rank() == 4, "conv2d input must be NCHW");
+    splitConv2dBackward(
+        x, weight, grad_out, win,
         wholeImageScheme(win, x.shape().dim(2), x.shape().dim(3)), grad_x,
         grad_w, grad_b);
 }
 
 void
-conv2dBackwardPatches(const Tensor &x, const float *wt_panels,
-                      const Tensor &grad_out, const Window2d &win,
-                      const SplitScheme2d &scheme, Tensor &grad_x,
-                      Tensor &grad_w, Tensor &grad_b)
+splitConv2dBackward(const Tensor &x, const Tensor &weight,
+                    const Tensor &grad_out, const Window2d &win,
+                    const SplitScheme2d &scheme, Tensor &grad_x,
+                    Tensor &grad_w, Tensor &grad_b)
 {
-    SCNN_REQUIRE(x.shape().rank() == 4, "conv2d input must be NCHW");
+    SCNN_REQUIRE(x.shape().rank() == 4 && weight.shape().rank() == 4,
+                 "conv2d backward needs NCHW input and OIHW weight");
     checkSchemeGeometry(win, scheme);
     const int64_t n = x.shape().dim(0);
     const int64_t c = x.shape().dim(1);
     const int64_t ih = x.shape().dim(2);
     const int64_t iw = x.shape().dim(3);
-    const int64_t oc = grad_w.shape().dim(0);
+    const int64_t oc = weight.shape().dim(0);
+    const int64_t krows = c * win.kh * win.kw;
+    SCNN_REQUIRE(weight.numel() == oc * krows,
+                 "conv2d weight does not match the input");
     const int64_t out_h = scheme.h.pieces.back().out_end;
     const int64_t out_w = scheme.w.pieces.back().out_end;
     SCNN_CHECK(grad_out.shape() == Shape({n, oc, out_h, out_w}),
                "conv2d grad_out shape mismatch: "
                    << grad_out.shape().toString());
-    SCNN_CHECK(grad_w.shape() == Shape({oc, c, win.kh, win.kw}) &&
-                   grad_x.shape() == x.shape(),
-               "grad_w / grad_x must be pre-shaped like weight / x");
+    SCNN_CHECK(grad_w.shape() == Shape({oc, c, win.kh, win.kw}),
+               "grad_w must be pre-shaped like the weight");
     const bool has_bias = grad_b.numel() > 0;
     if (has_bias)
         SCNN_REQUIRE(grad_b.numel() == oc, "conv2d grad_b size mismatch");
+    const bool split = scheme.parts() > 1;
+    if (split && lintParallelEnabled())
+        checkParallelPlan(buildSplitConvBackwardPlan(
+            convModelBatch(n, krows, scheme), c, ih, iw, oc, win, scheme));
 
-    const int64_t krows = c * win.kh * win.kw;
     const int64_t ospatial = out_h * out_w;
     const ConvWork work = convWork(n, krows, out_w, scheme.h);
     const int64_t n_items = static_cast<int64_t>(work.items.size());
@@ -236,6 +254,25 @@ conv2dBackwardPatches(const Tensor &x, const float *wt_panels,
 
     auto &arena = ScratchArena::tls();
     auto guard = arena.scope();
+    // W^T panels: A(i, p) = weight[p * krows + i], packed once per
+    // call and shared read-only by every worker.
+    const int64_t panel_floats = gemmPackedASize(krows, oc);
+    float *wt_panels = arena.alloc(panel_floats);
+    gemmPackAStrided(krows, oc, 1.0f, weight.data(), /*rs=*/1,
+                     /*cs=*/krows, wt_panels);
+    grad_x = Tensor(x.shape()); // zero: halo scatters accumulate
+    const auto shadow =
+        split && shadowAccessEnabled()
+            ? openShadowSession(
+                  buildSplitConvBackwardPlan(n, c, ih, iw, oc, win, scheme),
+                  {{"grad_x", grad_x.data()},
+                   {"grad_out", grad_out.data()},
+                   {"input", x.data()},
+                   {"weight_panels", wt_panels},
+                   {"grad_w", grad_w.data()}})
+            : nullptr;
+    if (shadow && has_bias)
+        shadow->bind("grad_b", grad_b.data());
     const int64_t wave = std::max<int64_t>(1, globalThreads());
     float *gw_acc = arena.alloc(wave * krows * oc);
     float *gb_acc = has_bias ? arena.alloc(wave * work.group * oc) : nullptr;
@@ -267,24 +304,29 @@ conv2dBackwardPatches(const Tensor &x, const float *wt_panels,
                                item.row0 * out_w;
                     };
                     // Shadow claims: the item's grad_out rows of every
-                    // output channel, per image, and the shared panel
-                    // read; input reads and grad_x scatters are
-                    // recorded inside the view kernels.
-                    shadowSetItem(i);
-                    shadowRecord(wt_panels, gemmPackedASize(krows, oc),
-                                 false);
-                    for (int64_t j = 0; j < item.imgs; ++j)
-                        shadowRecordSpan(go_img(j),
-                                         {0, oc, ospatial, 1, 0, img_cols},
-                                         false);
+                    // output channel, per image, the shared panel
+                    // read, each staged patch's input hull, and each
+                    // band's grad_x scatter hull.
+                    if (shadow) {
+                        shadowSetItem(i);
+                        shadowRecord(wt_panels, panel_floats, false);
+                        for (int64_t j = 0; j < item.imgs; ++j)
+                            shadowRecordSpan(
+                                go_img(j), {0, oc, ospatial, 1, 0, img_cols},
+                                false);
+                    }
                     forEachItemPatch(
                         work, item, win, scheme, out_w,
                         [&](int64_t in, int64_t off, const PatchView &view,
                             const Window2d &local, int64_t oy0,
                             int64_t oy1) {
-                            im2colViewStrided(x.data() + in * c * ih * iw,
-                                              c, ih, iw, view, local, oy0,
-                                              oy1, col + off, cols, out_w);
+                            const float *img = x.data() + in * c * ih * iw;
+                            if (shadow)
+                                shadowRecordPatch(img, c, ih, iw, view,
+                                                  false);
+                            im2colViewStrided(img, c, ih, iw, view, local,
+                                              oy0, oy1, col + off, cols,
+                                              out_w);
                         });
                     // The item's grad_out columns: the parent rows in
                     // place for one image, a bounce copy for a group.
@@ -317,11 +359,13 @@ conv2dBackwardPatches(const Tensor &x, const float *wt_panels,
                         [&](int64_t in, int64_t off, const PatchView &view,
                             const Window2d &local, int64_t oy0,
                             int64_t oy1) {
+                            float *gimg = grad_x.data() + in * c * ih * iw;
+                            if (shadow)
+                                recordScatterHull(gimg, c, ih, iw, view,
+                                                  local, oy0, oy1);
                             col2imViewStrided(gcol + off, c, ih, iw, view,
-                                              local, oy0, oy1,
-                                              grad_x.data() +
-                                                  in * c * ih * iw,
-                                              cols, out_w);
+                                              local, oy0, oy1, gimg, cols,
+                                              out_w);
                         });
                 }
                 if (has_bias) {
@@ -331,8 +375,10 @@ conv2dBackwardPatches(const Tensor &x, const float *wt_panels,
                         const int64_t in = first.img0 + j;
                         const float *go = grad_out.data() + in * oc * ospatial;
                         float *gb = gb_acc + (wi * work.group + j) * oc;
-                        shadowSetItem(n_items + in);
-                        shadowRecord(go, oc * ospatial, false);
+                        if (shadow) {
+                            shadowSetItem(n_items + in);
+                            shadowRecord(go, oc * ospatial, false);
+                        }
                         std::fill(gb, gb + oc, 0.0f);
                         addRowSums(go, oc, ospatial, gb);
                     }
@@ -341,10 +387,12 @@ conv2dBackwardPatches(const Tensor &x, const float *wt_panels,
         });
         for (int64_t wi = 0; wi < wn; ++wi) {
             const int64_t u = u0 + wi;
-            shadowSetItem(n_items + n + u);
-            shadowRecord(grad_w.data(), oc * krows, true);
-            if (has_bias)
-                shadowRecord(grad_b.data(), oc, true);
+            if (shadow) {
+                shadowSetItem(n_items + n + u);
+                shadowRecord(grad_w.data(), oc * krows, true);
+                if (has_bias)
+                    shadowRecord(grad_b.data(), oc, true);
+            }
             // gw_unit is [krows x oc]; grad_w is [oc x krows].
             const float *gw = gw_acc + wi * krows * oc;
             float *dst = grad_w.data();
@@ -363,6 +411,7 @@ conv2dBackwardPatches(const Tensor &x, const float *wt_panels,
             }
         }
     }
+    checkShadowSession(shadow, "split conv backward");
 }
 
 } // namespace scnn

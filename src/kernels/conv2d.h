@@ -1,7 +1,8 @@
 /**
  * @file
- * 2-D convolution forward and backward kernels: one band engine
- * (halo-aware im2col + packed GEMM) for split and unsplit layers.
+ * 2-D convolution forward and backward: one band engine (halo-aware
+ * im2col + packed GEMM) per direction, for split and unsplit layers
+ * alike — an unsplit layer is the one-patch split.
  */
 #ifndef SCNN_KERNELS_CONV2D_H
 #define SCNN_KERNELS_CONV2D_H
@@ -13,29 +14,9 @@
 namespace scnn {
 
 /**
- * Forward convolution: conv2dForwardPatches with the whole image as
- * the one patch and the weight panels packed once per call.
- *
- * @param x input, [N, C, H, W].
- * @param weight [OC, C, kh, kw].
- * @param bias [OC]; pass an empty tensor for no bias.
- * @param win window geometry (kernel extents must match @p weight).
- * @return output, [N, OC, outH, outW].
- */
-Tensor conv2dForward(const Tensor &x, const Tensor &weight,
-                     const Tensor &bias, const Window2d &win);
-
-/** conv2dForward under the name some callers (the benchmark) use. */
-inline Tensor
-conv2dForwardAuto(const Tensor &x, const Tensor &weight,
-                  const Tensor &bias, const Window2d &win)
-{
-    return conv2dForward(x, weight, bias, win);
-}
-
-/**
- * The band engine's forward behind conv2dForward (the whole image as
- * the one patch) and splitConv2dForward. Each work item of convWork
+ * Split convolution forward (Eqs. 4-7 applied to conv2d), fused and
+ * zero-copy; an unsplit layer passes wholeImageScheme. The weight is
+ * packed as GEMM A panels once per call. Each work item of convWork
  * stages the halo-aware im2col columns of every patch it covers
  * (im2colViewStrided) into one column matrix ordered by parent output
  * position — one band of one image, or every band of an image group
@@ -45,38 +26,42 @@ conv2dForwardAuto(const Tensor &x, const Tensor &weight,
  * disjoint output regions and every element accumulates K ascending
  * however the columns are grouped, so the result is bitwise-identical
  * for any thread count and to the unsplit kernel run on each
- * materialized patch. Shadow claims are recorded per item
- * (buildSplitConvPlan).
+ * materialized patch.
  *
- * @param weight [OC, C, kh, kw]; only its shape is read.
- * @param w_panels the weight packed as GEMM A panels:
- *        gemmPackA(oc, krows, 1, weight, ...).
+ * A call with more than one patch runs the debug hooks: the SA6xx
+ * lint of buildSplitConvPlan and, with SCNN_SHADOW_ACCESS=1, a shadow
+ * session checking every item's accesses against that plan. A
+ * one-patch call opens no session, so unsplit nodes can share the
+ * executor's parallel waves.
+ *
+ * @param x input, [N, C, H, W].
+ * @param weight [OC, C, kh, kw].
+ * @param bias [OC]; pass an empty tensor for no bias.
+ * @param win the unsplit window (kernel extents must match @p weight).
+ * @param scheme the split; its patch paddings replace win's.
+ * @return output, [N, OC, outH, outW].
  */
-Tensor conv2dForwardPatches(const Tensor &x, const Tensor &weight,
-                            const float *w_panels, const Tensor &bias,
-                            const Window2d &win,
-                            const SplitScheme2d &scheme);
+Tensor splitConv2dForward(const Tensor &x, const Tensor &weight,
+                          const Tensor &bias, const Window2d &win,
+                          const SplitScheme2d &scheme);
+
+/** splitConv2dForward over wholeImageScheme. */
+Tensor conv2dForward(const Tensor &x, const Tensor &weight,
+                     const Tensor &bias, const Window2d &win);
+
+/** conv2dForward under the name the end-to-end benchmark
+ * (perfbench) calls; nothing else should. */
+inline Tensor
+conv2dForwardAuto(const Tensor &x, const Tensor &weight,
+                  const Tensor &bias, const Window2d &win)
+{
+    return conv2dForward(x, weight, bias, win);
+}
 
 /**
- * Backward convolution: conv2dBackwardPatches with the whole image as
- * the one patch and the W^T panels packed once per call.
- *
- * @param x forward input.
- * @param weight forward weight.
- * @param grad_out gradient w.r.t. the forward output.
- * @param win window geometry.
- * @param grad_x [out] gradient w.r.t. x (overwritten).
- * @param grad_w [out] gradient w.r.t. weight (accumulated into).
- * @param grad_b [out] gradient w.r.t. bias (accumulated into); pass an
- *        empty tensor when the convolution has no bias.
- */
-void conv2dBackward(const Tensor &x, const Tensor &weight,
-                    const Tensor &grad_out, const Window2d &win,
-                    Tensor &grad_x, Tensor &grad_w, Tensor &grad_b);
-
-/**
- * The band engine's backward behind conv2dBackward and
- * splitConv2dBackward. Each convWork item stages its columns once,
+ * Split convolution backward; an unsplit layer passes
+ * wholeImageScheme. The weight is packed transposed (W^T as GEMM A
+ * panels) once per call. Each convWork item stages its columns once,
  * exactly as the forward does, and feeds both gradient GEMMs:
  *
  *   wgrad: the columns (packed A) x the item's grad_out columns
@@ -93,20 +78,24 @@ void conv2dBackward(const Tensor &x, const Tensor &weight,
  * in waves; a worker owns a unit and runs its items, images, bands
  * and patches ascending, so halo scatters accumulate in a fixed order
  * and the result is bitwise-identical for any thread count (the SA609
- * discipline buildSplitConvBackwardPlan models; its shadow-access
- * claims are recorded here). The bias gradient sums each image's
- * grad_out rows and reduces them in image order.
+ * discipline buildSplitConvBackwardPlan models). The bias gradient
+ * sums each image's grad_out rows and reduces them in image order.
+ * Debug hooks as in splitConv2dForward.
  *
- * @param wt_panels W^T packed as GEMM A panels:
- *        gemmPackAStrided(krows, oc, 1, weight, 1, krows).
- * @param grad_x [in/out] zero-filled at x's shape; receives dL/dx.
- * @param grad_w [out] accumulated into (shaped like the weight).
- * @param grad_b [out] accumulated into; empty when there is no bias.
+ * @param grad_x [out] overwritten with dL/dx at x's shape.
+ * @param grad_w [out] accumulated into (pre-shaped like weight).
+ * @param grad_b [out] accumulated into; pass an empty tensor when the
+ *        convolution has no bias.
  */
-void conv2dBackwardPatches(const Tensor &x, const float *wt_panels,
-                           const Tensor &grad_out, const Window2d &win,
-                           const SplitScheme2d &scheme, Tensor &grad_x,
-                           Tensor &grad_w, Tensor &grad_b);
+void splitConv2dBackward(const Tensor &x, const Tensor &weight,
+                         const Tensor &grad_out, const Window2d &win,
+                         const SplitScheme2d &scheme, Tensor &grad_x,
+                         Tensor &grad_w, Tensor &grad_b);
+
+/** splitConv2dBackward over wholeImageScheme. */
+void conv2dBackward(const Tensor &x, const Tensor &weight,
+                    const Tensor &grad_out, const Window2d &win,
+                    Tensor &grad_x, Tensor &grad_w, Tensor &grad_b);
 
 } // namespace scnn
 

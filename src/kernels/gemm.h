@@ -97,8 +97,8 @@ void gemmPackA(int64_t m, int64_t k, float alpha, const float *a,
                float *pa);
 
 /** Number of gemmPackA calls since process start (monotonic). The
- * split executor's weight-panel cache asserts packs == layers with
- * this counter; it is cheap enough to keep in release builds. */
+ * end-to-end benchmark reports packs per training step with this
+ * counter; it is cheap enough to keep in release builds. */
 int64_t gemmPackACalls();
 
 /**

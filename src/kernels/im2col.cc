@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "analysis/shadow_access.h"
-
 namespace scnn {
 
 void
@@ -14,12 +12,6 @@ im2colViewStrided(const float *img, int64_t c, int64_t ih, int64_t iw,
                   int64_t row_step)
 {
     const int64_t ow = win.outW(view.iw);
-    // Shadow claim: everything read below lies inside the patch's
-    // contiguous hull, channel 0's first rectangle float through
-    // channel c-1's last (the span the SA6xx model predicts).
-    shadowRecord(img + view.r0 * iw + view.c0,
-                 (c - 1) * ih * iw + (view.ih - 1) * iw + view.iw,
-                 false);
     const size_t row_bytes = static_cast<size_t>(ow) * sizeof(float);
     int64_t row = 0;
     for (int64_t ic = 0; ic < c; ++ic) {
@@ -78,35 +70,12 @@ im2colViewStrided(const float *img, int64_t c, int64_t ih, int64_t iw,
 }
 
 void
-im2col(const float *img, int64_t c, int64_t ih, int64_t iw,
-       const Window2d &win, float *col)
-{
-    const int64_t oh = win.outH(ih), ow = win.outW(iw);
-    im2colViewStrided(img, c, ih, iw, PatchView::full(ih, iw), win, 0, oh,
-                      col, oh * ow, ow);
-}
-
-void
 col2imViewStrided(const float *col, int64_t c, int64_t ih, int64_t iw,
                   const PatchView &view, const Window2d &win,
                   int64_t oy0, int64_t oy1, float *img, int64_t col_ld,
                   int64_t row_step)
 {
     const int64_t ow = win.outW(view.iw);
-    // Shadow claim: every scatter below lands inside the band's
-    // contiguous write hull — the patch rows [iy_lo, iy_hi) that
-    // output rows [oy0, oy1) can touch, channel 0's first float
-    // through channel c-1's last (the span the SA6xx backward model
-    // predicts for this item).
-    const int64_t iy_lo =
-        std::max<int64_t>(0, oy0 * win.sh - win.ph_b);
-    const int64_t iy_hi = std::min<int64_t>(
-        view.ih, (oy1 - 1) * win.sh - win.ph_b + win.kh);
-    if (iy_lo >= iy_hi)
-        return; // every window element of the band is local padding
-    shadowRecord(img + (view.r0 + iy_lo) * iw + view.c0,
-                 (c - 1) * ih * iw + (iy_hi - 1 - iy_lo) * iw + view.iw,
-                 true);
     int64_t row = 0;
     for (int64_t ic = 0; ic < c; ++ic) {
         float *chan = img + ic * ih * iw;
@@ -143,18 +112,6 @@ col2imViewStrided(const float *col, int64_t c, int64_t ih, int64_t iw,
             }
         }
     }
-}
-
-void
-col2im(const float *col, int64_t c, int64_t ih, int64_t iw,
-       const Window2d &win, float *img)
-{
-    // Full-view adjoint: the hoisted flank bounds visit exactly the
-    // in-bounds (oy, ox) set the seed per-element walk visited, in
-    // the same order, so the accumulation is bit-identical.
-    const int64_t oh = win.outH(ih), ow = win.outW(iw);
-    col2imViewStrided(col, c, ih, iw, PatchView::full(ih, iw), win, 0, oh,
-                      img, oh * ow, ow);
 }
 
 } // namespace scnn

@@ -23,16 +23,6 @@
 namespace scnn {
 
 /**
- * Lower one image (CHW) to a column buffer of shape
- * [C*kh*kw, outH*outW] for the given window geometry.
- *
- * @param img input image, C x ih x iw, contiguous.
- * @param col output buffer of size C*kh*kw*outH*outW.
- */
-void im2col(const float *img, int64_t c, int64_t ih, int64_t iw,
-            const Window2d &win, float *col);
-
-/**
  * Lower output rows [oy0, oy1) of a patch view of one parent image
  * into a strided slice of a column matrix: window element row r of
  * patch-output pixel (oy, ox) lands at
@@ -40,8 +30,8 @@ void im2col(const float *img, int64_t c, int64_t ih, int64_t iw,
  * stage every patch of an output-row group into one shared column
  * matrix this way (col_ld = the group's full column count, row_step
  * = the parent output width), so the group runs as a single packed
- * GEMM whose C is the parent output itself; im2col is the whole-image
- * contiguous case.
+ * GEMM whose C is the parent output itself. The unsplit conv passes
+ * PatchView::full and the whole output.
  *
  * @param img the *parent* image, C x ih x iw, contiguous.
  * @param view the patch rectangle inside the parent.
@@ -52,13 +42,6 @@ void im2colViewStrided(const float *img, int64_t c, int64_t ih,
                        int64_t iw, const PatchView &view,
                        const Window2d &win, int64_t oy0, int64_t oy1,
                        float *col, int64_t col_ld, int64_t row_step);
-
-/**
- * Scatter-add a column buffer back into an image (CHW); the adjoint of
- * im2col. @p img must be zero-initialized by the caller.
- */
-void col2im(const float *col, int64_t c, int64_t ih, int64_t iw,
-            const Window2d &win, float *img);
 
 /**
  * Scatter-add output rows [oy0, oy1) of a strided column matrix (the

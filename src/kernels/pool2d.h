@@ -1,6 +1,8 @@
 /**
  * @file
- * Max and average 2-D pooling kernels with asymmetric padding.
+ * Max and average 2-D pooling kernels with asymmetric padding: one
+ * forward loop and one backward loop, for split and unsplit layers
+ * alike (an unsplit layer is the one-patch split).
  */
 #ifndef SCNN_KERNELS_POOL2D_H
 #define SCNN_KERNELS_POOL2D_H
@@ -8,27 +10,44 @@
 #include <cstdint>
 #include <vector>
 
-#include "kernels/window.h"
+#include "kernels/split_scheme.h"
 #include "tensor/tensor.h"
 
 namespace scnn {
 
 /**
+ * @name Split pooling (an unsplit layer passes wholeImageScheme)
+ *
+ * Zero-copy: each (image, patch) item pools its patch straight out of
+ * the parent tensor through the patch's view (window taps outside the
+ * view read as the split scheme's zero padding) and writes the
+ * patch's block of the parent output — no pad2d input copy, no
+ * per-patch output tensor, no concat. Each patch block holds exactly
+ * the bytes the unsplit kernel computes on that patch materialized.
+ *
+ * The backwards scatter through each patch's view into the parent
+ * grad_x: a worker owns an image and walks its patches in ascending
+ * order, so halo rows (windows straddling a patch seam when k > s)
+ * accumulate in a fixed order — bitwise-deterministic for any thread
+ * count.
+ *
+ * A call with more than one patch runs the debug hooks: the SA6xx
+ * lint of buildSplitPoolPlan / buildSplitPoolBackwardPlan and, with
+ * SCNN_SHADOW_ACCESS=1, a shadow session checking every item against
+ * it. A one-patch call opens no session.
+ */
+///@{
+/**
  * Max-pool forward.
  *
- * @param x input, [N, C, H, W].
- * @param win window geometry.
- * @param argmax [out] linear input index of the max for each output
- *        element (or -1 if the window saw only padding); sized by the
- *        kernel. Used by maxPool2dBackward.
- * @return pooled output.
+ * @param argmax [out] per output element, the linear index into the
+ *        whole input tensor of the max of its patch-clipped window
+ *        (-1 for an all-padding window, whose output is 0); sized by
+ *        the kernel. Consumed by splitMaxPool2dBackward.
  */
-Tensor maxPool2dForward(const Tensor &x, const Window2d &win,
-                        std::vector<int64_t> &argmax);
-
-/** Max-pool backward: route grad_out to the argmax positions. */
-Tensor maxPool2dBackward(const Shape &x_shape, const Tensor &grad_out,
-                         const std::vector<int64_t> &argmax);
+Tensor splitMaxPool2dForward(const Tensor &x, const Window2d &win,
+                             const SplitScheme2d &scheme,
+                             std::vector<int64_t> &argmax);
 
 /**
  * Average-pool forward. Padding elements count toward the divisor
@@ -36,61 +55,34 @@ Tensor maxPool2dBackward(const Shape &x_shape, const Tensor &grad_out,
  * kh*kw. This keeps split/unsplit equivalence exact for natural
  * splits.
  */
-Tensor avgPool2dForward(const Tensor &x, const Window2d &win);
+Tensor splitAvgPool2dForward(const Tensor &x, const Window2d &win,
+                             const SplitScheme2d &scheme);
 
-/** Average-pool backward. */
+/** Max-pool backward: route each patch's grad_out block to its argmax
+ * positions (from splitMaxPool2dForward under the same scheme; each
+ * lies inside its patch's input rectangle by Eqs. 1-2). */
+Tensor splitMaxPool2dBackward(const Shape &in_shape,
+                              const Tensor &grad_out,
+                              const std::vector<int64_t> &argmax,
+                              const SplitScheme2d &scheme);
+
+/** Average-pool backward, the exact adjoint of splitAvgPool2dForward:
+ * every in-view tap of an output receives grad * 1/(kh*kw). */
+Tensor splitAvgPool2dBackward(const Shape &in_shape,
+                              const Tensor &grad_out,
+                              const Window2d &win,
+                              const SplitScheme2d &scheme);
+///@}
+
+/** @name Unsplit pooling: the split kernels over one whole-image patch */
+///@{
+Tensor maxPool2dForward(const Tensor &x, const Window2d &win,
+                        std::vector<int64_t> &argmax);
+Tensor maxPool2dBackward(const Shape &x_shape, const Tensor &grad_out,
+                         const std::vector<int64_t> &argmax);
+Tensor avgPool2dForward(const Tensor &x, const Window2d &win);
 Tensor avgPool2dBackward(const Shape &x_shape, const Tensor &grad_out,
                          const Window2d &win);
-
-/**
- * @name Halo-aware patch-view pooling
- *
- * Zero-copy split execution: pool a rectangular patch of one parent
- * image straight out of parent memory (window taps outside the view
- * read as the split scheme's zero padding) and write the result into
- * the patch's block of the parent output — no pad2d input copy, no
- * per-patch output tensor, no concat. The unsplit kernels run them
- * with the whole image as the patch, so a split patch gets exactly
- * the bytes its materialized copy would.
- */
-///@{
-/**
- * Max-pool one image's patch.
- *
- * @param img parent image, C x ih x iw, contiguous.
- * @param view patch rectangle inside the parent.
- * @param win patch-local window (split-scheme paddings).
- * @param out parent output image base, [C, out_oh, out_ow].
- * @param oy0,ox0 where the patch's output block starts in @p out.
- *
- * @param argmax laid out like @p out: each written output's slot
- *        receives @p argmax_base plus the max's offset in @p img
- *        (-1 for an all-padding window, which writes 0 — both
- *        matching maxPool2dForward).
- */
-void maxPool2dPatch(const float *img, int64_t c, int64_t ih,
-                    int64_t iw, const PatchView &view,
-                    const Window2d &win, float *out, int64_t out_oh,
-                    int64_t out_ow, int64_t oy0, int64_t ox0,
-                    int64_t *argmax, int64_t argmax_base);
-
-/** Average-pool one image's patch; count_include_pad semantics like
- * avgPool2dForward (every window divides by kh*kw). */
-void avgPool2dPatch(const float *img, int64_t c, int64_t ih,
-                    int64_t iw, const PatchView &view,
-                    const Window2d &win, float *out, int64_t out_oh,
-                    int64_t out_ow, int64_t oy0, int64_t ox0);
-
-/** The exact adjoint of avgPool2dPatch: scatter-add the patch's
- * gradient block (@p grad_out points at its first element, rows
- * @p out_ow and channels @p out_oh * @p out_ow apart) into the
- * parent gradient image through the view. Every in-view tap of an
- * output receives grad * 1/(kh*kw); out-of-view taps are padding
- * and get nothing, exactly as the forward reads them as zero. */
-void avgPool2dPatchBackward(const float *grad_out, int64_t out_oh,
-                            int64_t out_ow, int64_t c, int64_t ih,
-                            int64_t iw, const PatchView &view,
-                            const Window2d &win, float *grad_img);
 ///@}
 
 /** Global average pool: [N, C, H, W] -> [N, C, 1, 1]. */

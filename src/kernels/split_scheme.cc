@@ -234,6 +234,15 @@ splitWindowOp2d(const Window2d &win, int64_t ih, int64_t iw,
     return scheme;
 }
 
+SplitScheme2d
+wholeImageScheme(const Window2d &win, int64_t ih, int64_t iw)
+{
+    SplitScheme2d whole;
+    whole.h.pieces = {{0, ih, 0, win.outH(ih), win.ph_b, win.ph_e}};
+    whole.w.pieces = {{0, iw, 0, win.outW(iw), win.pw_b, win.pw_e}};
+    return whole;
+}
+
 Window2d
 patchWindow(const Window2d &win, const SplitScheme2d &scheme, int hi,
             int wi)

@@ -176,6 +176,14 @@ SplitScheme2d splitWindowOp2d(const Window2d &win, int64_t ih, int64_t iw,
                               InputSplitPolicy policy =
                                   InputSplitPolicy::Center);
 
+/**
+ * The unsplit layer as a split scheme (Eqs. 1-7 with one patch): the
+ * whole ih x iw image is the patch, with the window's own paddings.
+ * Every split kernel run over it computes the unsplit op.
+ */
+SplitScheme2d wholeImageScheme(const Window2d &win, int64_t ih,
+                               int64_t iw);
+
 /** The local window geometry for patch (hi, wi) of a scheme. */
 Window2d patchWindow(const Window2d &win, const SplitScheme2d &scheme,
                      int hi, int wi);
@@ -258,7 +266,7 @@ struct ConvWork
 };
 
 /**
- * The decomposition conv2dForwardPatches, conv2dBackwardPatches and
+ * The decomposition splitConv2dForward, splitConv2dBackward and
  * the SA6xx conv plans share. When one image's column matrix
  * (@p krows x the output pixels) fits kConvGroupFloats, an item is a
  * group of min(n, kConvGroupFloats / (krows * pixels)) consecutive

@@ -4,9 +4,9 @@
 #include <cmath>
 
 #include "analysis/parallel_model.h"
-#include "core/split_op.h"
 #include "core/splitter.h"
 #include "kernels/activations.h"
+#include "kernels/batchnorm.h"
 #include "kernels/conv2d.h"
 #include "kernels/linear.h"
 #include "kernels/pool2d.h"
@@ -117,6 +117,12 @@ lowerGraph(const Graph &graph)
             e.win = n.win;
             e.inputs.assign(n.inputs.begin(), n.inputs.end());
             e.output = n.output;
+            // An unsplit window op or BN runs the split kernels over
+            // the one-patch scheme.
+            if (isWindowOp(n.kind) || n.kind == OpKind::BatchNorm) {
+                const Shape &in = graph.tensor(n.inputs[0]).shape;
+                e.scheme = wholeImageScheme(n.win, in.dim(2), in.dim(3));
+            }
             lowered.nodes.push_back(std::move(e));
             continue;
         }
@@ -180,17 +186,9 @@ Executor::Executor(const Graph &graph, ParamStore &params)
     // Training mode is the superset model (it adds the deferred BN
     // running-stat epochs).
     if (lintParallelEnabled()) {
-        auto plans = buildRegionNodePlans(graph_);
-        plans.emplace_back(-1, buildExecutorWavePlan(graph_, true));
-        for (const auto &[node, plan] : plans) {
-            const std::vector<Diagnostic> diags =
-                analyzeParallelPlan(plan);
-            SCNN_CHECK(diags.empty(),
-                       "parallel-safety lint: "
-                           << diags.size() << " finding(s) in "
-                           << plan.name << "; first: "
-                           << diags.front().toString());
-        }
+        for (const auto &[node, plan] : buildRegionNodePlans(graph_))
+            checkParallelPlan(plan);
+        checkParallelPlan(buildExecutorWavePlan(graph_, true));
     }
 }
 
@@ -221,22 +219,15 @@ Executor::computeNode(const ExecNode &e, const Tensor &input,
         const Tensor &w = params_.value(n.params[0]);
         const Tensor b =
             n.has_bias ? params_.value(n.params[1]) : Tensor();
-        out = e.isRegion()
-                  ? splitConv2dForward(val(0), w, b, e.win, e.scheme)
-                  : conv2dForward(val(0), w, b, e.win);
+        out = splitConv2dForward(val(0), w, b, e.win, e.scheme);
         break;
       }
-      case OpKind::MaxPool2d: {
-        auto &argmax = c.argmax[static_cast<size_t>(n.id)];
-        out = e.isRegion()
-                  ? splitMaxPool2dForward(val(0), e.win, e.scheme, argmax)
-                  : maxPool2dForward(val(0), e.win, argmax);
+      case OpKind::MaxPool2d:
+        out = splitMaxPool2dForward(val(0), e.win, e.scheme,
+                                    c.argmax[static_cast<size_t>(n.id)]);
         break;
-      }
       case OpKind::AvgPool2d:
-        out = e.isRegion()
-                  ? splitAvgPool2dForward(val(0), e.win, e.scheme)
-                  : avgPool2dForward(val(0), e.win);
+        out = splitAvgPool2dForward(val(0), e.win, e.scheme);
         break;
       case OpKind::GlobalAvgPool:
         out = globalAvgPoolForward(val(0));
@@ -249,12 +240,10 @@ Executor::computeNode(const ExecNode &e, const Tensor &input,
             out = batchNormInference(val(0), gamma, beta,
                                      params_.value(n.params[2]),
                                      params_.value(n.params[3]), 1e-5f);
-        else if (e.isRegion())
+        else
             out = splitBatchNormForwardStats(
                 val(0), splitPatchViews(e.scheme), gamma, beta, 1e-5f,
                 bn);
-        else
-            out = batchNormForwardStats(val(0), gamma, beta, 1e-5f, bn);
         break;
       }
       case OpKind::ReLU:
@@ -393,28 +382,20 @@ Executor::backward(const ForwardCache &cache, const Tensor &grad_output)
             Tensor gb_empty;
             Tensor &gb =
                 n.has_bias ? params_.grad(n.params[1]) : gb_empty;
-            const Tensor &w = params_.value(n.params[0]);
-            if (e.isRegion())
-                splitConv2dBackward(val(in0), w, go, e.win, e.scheme, gx,
-                                    gw, gb);
-            else
-                conv2dBackward(val(in0), w, go, e.win, gx, gw, gb);
+            splitConv2dBackward(val(in0), params_.value(n.params[0]), go,
+                                e.win, e.scheme, gx, gw, gb);
             accum(in0, std::move(gx));
             break;
           }
-          case OpKind::MaxPool2d: {
-            const auto &argmax = cache.argmax[static_cast<size_t>(n.id)];
-            accum(in0, e.isRegion()
-                           ? splitMaxPool2dBackward(shapeOf(in0), go,
-                                                    argmax, e.scheme)
-                           : maxPool2dBackward(shapeOf(in0), go, argmax));
+          case OpKind::MaxPool2d:
+            accum(in0, splitMaxPool2dBackward(
+                           shapeOf(in0), go,
+                           cache.argmax[static_cast<size_t>(n.id)],
+                           e.scheme));
             break;
-          }
           case OpKind::AvgPool2d:
-            accum(in0, e.isRegion()
-                           ? splitAvgPool2dBackward(shapeOf(in0), go,
-                                                    e.win, e.scheme)
-                           : avgPool2dBackward(shapeOf(in0), go, e.win));
+            accum(in0, splitAvgPool2dBackward(shapeOf(in0), go, e.win,
+                                              e.scheme));
             break;
           case OpKind::GlobalAvgPool:
             accum(in0, globalAvgPoolBackward(shapeOf(in0), go));
@@ -424,11 +405,8 @@ Executor::backward(const ForwardCache &cache, const Tensor &grad_output)
             const BatchNormCache &bn = cache.bn[static_cast<size_t>(n.id)];
             Tensor &gg = params_.grad(n.params[0]);
             Tensor &gbeta = params_.grad(n.params[1]);
-            accum(in0, e.isRegion()
-                           ? splitBatchNormBackward(
-                                 go, splitPatchViews(e.scheme), gamma, bn,
-                                 gg, gbeta)
-                           : batchNormBackward(go, gamma, bn, gg, gbeta));
+            accum(in0, splitBatchNormBackward(go, splitPatchViews(e.scheme),
+                                              gamma, bn, gg, gbeta));
             break;
           }
           case OpKind::ReLU:

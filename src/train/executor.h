@@ -2,14 +2,17 @@
  * @file
  * Real (CPU) execution of a computation graph: parameter storage,
  * forward pass with intermediate caching, and back-propagation. This
- * engine runs the accuracy experiments (Figures 4-7, Table 1); the
- * timing experiments use the device simulator instead.
+ * engine runs the accuracy experiments (Figures 4-7, Table 1) and
+ * the end-to-end timing benchmark (perfbench/); the paper-scale
+ * timing figures use the device simulator.
  *
  * A Split-CNN graph runs lowered: the patch clones of each split
  * layer execute as one node over full-size parent tensors through
- * the fused zero-copy split kernels (core/split_op.h), so no Slice,
- * Concat or per-patch kernel runs. The graph itself keeps its
- * per-patch form for the memory planner and the simulator.
+ * the fused zero-copy split kernels (kernels/conv2d.h, pool2d.h,
+ * batchnorm.h), so no Slice, Concat or per-patch kernel runs. An
+ * unsplit conv, pool or BN node calls the same kernels with the
+ * one-patch scheme. The graph itself keeps its per-patch form for
+ * the memory planner and the simulator.
  */
 #ifndef SCNN_TRAIN_EXECUTOR_H
 #define SCNN_TRAIN_EXECUTOR_H
@@ -76,8 +79,9 @@ struct ForwardCache
  * One node as the executor runs it: a graph node, or a *region node*
  * standing for the patch clones of one split-region layer. A region
  * node reads and writes full-size parent tensors and carries the
- * layer's scheme; its conv, pool and BN run through the split
- * kernels, its ReLU and Add elementwise over the parents.
+ * layer's scheme; its ReLU and Add run elementwise over the parents.
+ * Every conv, pool and BN node runs the split kernels over its
+ * scheme: a region's, or the whole-image scheme of an unsplit node.
  */
 struct ExecNode
 {
@@ -86,11 +90,15 @@ struct ExecNode
     NodeId node = -1;
     /** A region node's clones in patch order; empty otherwise. */
     std::vector<NodeId> clones;
-    SplitScheme2d scheme; ///< a region node's split
+    /** The split: a region node's, or wholeImageScheme for an
+     * unsplit conv, pool or BN node (empty for other ops). */
+    SplitScheme2d scheme;
     Window2d win;         ///< the window (a region node: unsplit)
     std::vector<int64_t> inputs; ///< value slots read
     int64_t output = -1;         ///< value slot written
 
+    /** A wave holding a region node runs serially
+     * (Executor::forward). */
     bool isRegion() const { return !clones.empty(); }
 };
 

@@ -20,9 +20,9 @@
 
 #include "analysis/parallel_model.h"
 #include "analysis/shadow_access.h"
-#include "core/split_op.h"
 #include "kernels/conv2d.h"
 #include "kernels/microkernel.h"
+#include "kernels/pool2d.h"
 #include "split_oracle.h"
 #include "util/rng.h"
 #include "util/threadpool.h"
@@ -165,7 +165,6 @@ TEST(SplitOp, GroupedForwardBitwiseMatchesOracle)
             }
         }
     }
-    splitWeightCacheClear();
 }
 
 TEST(SplitBackward, GroupedGradientsBitwiseMatchOracle)
@@ -232,7 +231,6 @@ TEST(SplitBackward, GroupedGradientsBitwiseMatchOracle)
             }
         }
     }
-    splitWeightCacheClear();
 }
 
 TEST(ParallelSafety, GroupedConvPlansAreClean)
@@ -314,7 +312,6 @@ TEST(SplitBackward, ShadowValidatesGroupedConvAgainstModel)
     EXPECT_GE(stats.sessions_checked, sessions);
     EXPECT_GT(stats.records_checked, 0);
     EXPECT_EQ(stats.violations, 0);
-    splitWeightCacheClear();
 }
 
 } // namespace

@@ -106,19 +106,24 @@ TEST(Gemm, TransposedVariantsAgree)
 
 TEST(Im2col, AdjointProperty)
 {
-    // <im2col(x), c> == <x, col2im(c)> for random x, c.
+    // <im2col(x), c> == <x, col2im(c)> for random x, c, over the
+    // whole image (the view kernels with PatchView::full).
     Rng rng(3);
     const int64_t c = 2, ih = 6, iw = 5;
     const Window2d win{3, 2, 1, 1, 1, 0, 1, 1};
-    const int64_t cols = c * win.kh * win.kw * win.outH(ih) * win.outW(iw);
+    const int64_t oh = win.outH(ih), ow = win.outW(iw);
+    const int64_t cols = c * win.kh * win.kw * oh * ow;
+    const PatchView full = PatchView::full(ih, iw);
     std::vector<float> x(c * ih * iw), col(cols), cc(cols),
         xi(c * ih * iw, 0.0f);
     for (auto &v : x)
         v = rng.normal();
     for (auto &v : cc)
         v = rng.normal();
-    im2col(x.data(), c, ih, iw, win, col.data());
-    col2im(cc.data(), c, ih, iw, win, xi.data());
+    im2colViewStrided(x.data(), c, ih, iw, full, win, 0, oh, col.data(),
+                      oh * ow, ow);
+    col2imViewStrided(cc.data(), c, ih, iw, full, win, 0, oh, xi.data(),
+                      oh * ow, ow);
     double lhs = 0.0, rhs = 0.0;
     for (int64_t i = 0; i < cols; ++i)
         lhs += double(col[i]) * cc[i];

@@ -13,9 +13,10 @@
 #include <gtest/gtest.h>
 
 #include "analysis/parallel_model.h"
-#include "core/split_op.h"
 #include "core/splitter.h"
 #include "hmms/planner.h"
+#include "kernels/conv2d.h"
+#include "kernels/pool2d.h"
 #include "models/models.h"
 #include "sim/device.h"
 #include "sim/profile.h"
@@ -422,7 +423,7 @@ cleanPoolPlan()
     const auto scheme = splitWindowOp2d(
         win, 16, 16, evenOutputSplit(win.outH(16), 2),
         evenOutputSplit(win.outW(16), 2), InputSplitPolicy::Center);
-    return buildSplitPoolPlan(1, 3, 16, 16, win, scheme);
+    return buildSplitPoolPlan(1, 3, 16, 16, scheme);
 }
 
 TEST(LintMutation, ParallelBaselinesAreClean)
@@ -464,8 +465,9 @@ TEST(LintMutation, SpanOutsideRegionIsSA602)
 TEST(LintMutation, WriteToSharedPanelsIsSA603)
 {
     ParallelPlan bad = cleanConvPlan();
-    // An aliased weight-panel cache entry shows up in the model as a
-    // work item writing the shared read-only panel region.
+    // A kernel packing into the shared weight panels mid-call shows
+    // up in the model as a work item writing the read-only panel
+    // region.
     bool flipped = false;
     for (ParallelAccess &a : bad.items[0].accesses)
         if (a.region == 2 && !a.write) {

@@ -261,8 +261,8 @@ TEST(Executor, LoweredSplitBitwiseAcrossThreads)
 TEST(Executor, LoweringLeavesNoPatchNodes)
 {
     // A lowered split graph has the unsplit graph's node count: one
-    // region node per split layer, no Slice or Concat, and its split
-    // convolutions run the fused kernels (weight-panel cache lookups).
+    // region node per split layer, carrying the layer's 4x4 scheme,
+    // and no Slice or Concat.
     const Graph base = buildModel("vgg19", smallConfig());
     const Graph split = splitModel("vgg19", 4);
     const LoweredGraph lowered = lowerGraph(split);
@@ -278,16 +278,62 @@ TEST(Executor, LoweringLeavesNoPatchNodes)
         if (e.isRegion()) {
             EXPECT_EQ(static_cast<int>(e.clones.size()), 16)
                 << split.node(e.node).name;
+            EXPECT_EQ(e.scheme.parts(), 16) << split.node(e.node).name;
         }
     }
     EXPECT_EQ(region_nodes, region->layers.size());
+}
 
-    const SplitWeightCacheStats before = splitWeightCacheStats();
-    Rng rng(3);
-    ParamStore params(split, rng);
-    executorStep(split, params);
-    const SplitWeightCacheStats after = splitWeightCacheStats();
-    EXPECT_GT(after.hits + after.misses, before.hits + before.misses);
+TEST(Executor, UnsplitNodesCarryTheWholeImageScheme)
+{
+    // Every conv, pool and BN node runs the split kernels: an unsplit
+    // one over a one-piece scheme that tiles its input and output with
+    // the window's own paddings, a region node over its layer's
+    // scheme as recoverSplitRegion reads it back.
+    for (const char *model : {"resnet18", "vgg19"}) {
+        const Graph split = splitModel(model, 2);
+        const LoweredGraph lowered = lowerGraph(split);
+        const auto region = recoverSplitRegion(split);
+        ASSERT_TRUE(region.has_value()) << model;
+        size_t layer = 0, unsplit = 0;
+        for (const ExecNode &e : lowered.nodes) {
+            const Node &n = split.node(e.node);
+            if (e.isRegion()) {
+                const SplitScheme2d &want = region->layers[layer++].scheme;
+                EXPECT_EQ(e.scheme.h.toString(), want.h.toString())
+                    << model << " " << n.name;
+                EXPECT_EQ(e.scheme.w.toString(), want.w.toString())
+                    << model << " " << n.name;
+                continue;
+            }
+            if (!isWindowOp(n.kind) && n.kind != OpKind::BatchNorm) {
+                EXPECT_EQ(e.scheme.parts(), 0) << model << " " << n.name;
+                continue;
+            }
+            ++unsplit;
+            const Shape &in =
+                lowered.slot_shapes[static_cast<size_t>(e.inputs[0])];
+            const Shape &out =
+                lowered.slot_shapes[static_cast<size_t>(e.output)];
+            ASSERT_EQ(e.scheme.parts(), 1) << model << " " << n.name;
+            const SplitPiece1d &ph = e.scheme.h.pieces[0];
+            const SplitPiece1d &pw = e.scheme.w.pieces[0];
+            EXPECT_EQ(ph.in_start, 0);
+            EXPECT_EQ(ph.in_end, in.dim(2)) << model << " " << n.name;
+            EXPECT_EQ(ph.out_start, 0);
+            EXPECT_EQ(ph.out_end, out.dim(2)) << model << " " << n.name;
+            EXPECT_EQ(ph.pad_b, n.win.ph_b);
+            EXPECT_EQ(ph.pad_e, n.win.ph_e);
+            EXPECT_EQ(pw.in_start, 0);
+            EXPECT_EQ(pw.in_end, in.dim(3)) << model << " " << n.name;
+            EXPECT_EQ(pw.out_start, 0);
+            EXPECT_EQ(pw.out_end, out.dim(3)) << model << " " << n.name;
+            EXPECT_EQ(pw.pad_b, n.win.pw_b);
+            EXPECT_EQ(pw.pad_e, n.win.pw_e);
+        }
+        EXPECT_EQ(layer, region->layers.size()) << model;
+        EXPECT_GT(unsplit, 0u) << model;
+    }
 }
 
 TEST(Executor, LoweredRegionNodesLintAndShadowClean)

@@ -10,9 +10,10 @@
 #include <gtest/gtest.h>
 
 #include "analysis/shadow_access.h"
-#include "core/split_op.h"
 #include "core/splitter.h"
 #include "kernels/batchnorm.h"
+#include "kernels/conv2d.h"
+#include "kernels/pool2d.h"
 #include "kernels/window.h"
 #include "models/models.h"
 #include "tensor/tensor_ops.h"
@@ -70,7 +71,7 @@ TEST(ParallelSafety, PoolAndExecutorPlansAreClean)
 {
     const Window2d win = Window2d::square(2, 2, 0);
     const auto pool_diags = analyzeParallelPlan(buildSplitPoolPlan(
-        2, 3, 16, 16, win, makeScheme(win, 16, 16, 2, 2)));
+        2, 3, 16, 16, makeScheme(win, 16, 16, 2, 2)));
     EXPECT_FALSE(hasErrors(pool_diags))
         << renderDiagnosticsText(pool_diags);
 
@@ -173,25 +174,43 @@ TEST(ParallelSafety, ShadowValidatesFusedPoolAgainstModel)
 
 TEST(ParallelSafety, UnsplitBatchNormLeavesTheSessionAlone)
 {
-    // The executor runs unsplit batchnorm nodes side by side in its
-    // parallel waves with recording on, so they must neither open the
-    // process's one session nor record into one held elsewhere. A
-    // session held open here stands in for the concurrent node.
+    // The executor runs unsplit batchnorm, conv and pool nodes side by
+    // side in its parallel waves with recording on. A one-patch call
+    // must neither open the process's one session nor record into one
+    // held elsewhere. A session held open here stands in for the
+    // concurrent node.
     ScopedShadow shadow;
     Rng rng(5);
     Tensor x(Shape{2, 3, 6, 6});
     x.fillNormal(rng, 0.0f, 1.0f);
     Tensor gamma(Shape{3}), beta(Shape{3});
     gamma.fill(1.0f);
+    Tensor rmean(Shape{3}), rvar(Shape{3});
     ShadowSession held(
         buildSplitBatchNormPlan(2, 3, 6, 6, {PatchView::full(6, 6)}));
     BatchNormCache cache;
     Tensor out;
-    EXPECT_NO_THROW(out = batchNormForwardStats(x, gamma, beta, 1e-5f,
-                                                cache));
+    EXPECT_NO_THROW(out = batchNormForward(x, gamma, beta, rmean, rvar,
+                                           0.1f, 1e-5f, cache));
     Tensor grad_gamma(Shape{3}), grad_beta(Shape{3});
     EXPECT_NO_THROW(
         batchNormBackward(out, gamma, cache, grad_gamma, grad_beta));
+
+    Tensor w(Shape{4, 3, 3, 3}), b(Shape{4});
+    w.fillNormal(rng, 0.0f, 0.3f);
+    const Window2d cwin = Window2d::square(3, 1, 1);
+    Tensor y;
+    EXPECT_NO_THROW(y = conv2dForward(x, w, b, cwin));
+    Tensor gx, gw(w.shape()), gb(b.shape());
+    EXPECT_NO_THROW(conv2dBackward(x, w, y, cwin, gx, gw, gb));
+
+    const Window2d pwin = Window2d::square(3, 2, 1);
+    std::vector<int64_t> argmax;
+    Tensor pmax, pavg;
+    EXPECT_NO_THROW(pmax = maxPool2dForward(x, pwin, argmax));
+    EXPECT_NO_THROW(maxPool2dBackward(x.shape(), pmax, argmax));
+    EXPECT_NO_THROW(pavg = avgPool2dForward(x, pwin));
+    EXPECT_NO_THROW(avgPool2dBackward(x.shape(), pavg, pwin));
     EXPECT_EQ(held.recordCount(), 0);
 }
 

@@ -15,7 +15,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/split_op.h"
 #include "core/splitter.h"
 #include "kernels/conv2d.h"
 #include "kernels/microkernel.h"

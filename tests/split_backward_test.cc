@@ -4,9 +4,8 @@
  * split_oracle.h (per-patch dgrad, bounce-buffered replay of the
  * fused wgrad order) over the halo geometry grid, correctness against
  * the unsplit backward where the split semantics coincide, the
- * adjoint identity against the fused forward, weight-panel cache
- * behaviour under the dgrad key (separate keying, zero repacks on the
- * second step, eviction accounting), SA609 static proofs for the
+ * adjoint identity against the fused forward, the oracle after an
+ * in-place weight update, SA609 static proofs for the
  * backward plans, and shadow-access validation of the fused kernels
  * against the model.
  *
@@ -14,7 +13,6 @@
  * shadow-validation CI jobs can select the whole file with a
  * `:SplitBackward*` filter.
  */
-#include "core/split_op.h"
 
 #include <gtest/gtest.h>
 
@@ -98,7 +96,7 @@ TEST(SplitBackward, ConvFusedMatchesMaterializedBitwise)
     // Bitwise under either microkernel, on reads that never go
     // through a patch view — a mismatch isolates the zero-copy view
     // machinery (strided im2col staging, strided grad_out packing,
-    // cached W^T panels). dgrad against the per-patch oracle
+    // W^T panels). dgrad against the per-patch oracle
     // (conv2dBackward on every materialized patch): both stage the
     // same columns and contract W^T in the same order, and patch
     // inputs are disjoint, so the scatter adds nothing twice. wgrad
@@ -313,113 +311,44 @@ TEST(SplitBackward, NaturalSplitAvgPoolMatchesUnsplitBackward)
     EXPECT_LT(maxAbsDiff(split, unsplit), 1e-6f);
 }
 
-// --- weight-panel cache under the dgrad key --------------------------
+// --- weights updated in place between calls --------------------------
 
-TEST(SplitBackward, DgradPanelsAreKeyedSeparatelyFromForward)
+TEST(SplitBackward, InPlaceWeightUpdateMatchesOracle)
 {
-    splitWeightCacheClear();
-    Rng rng(41);
-    Tensor x(Shape{1, 3, 12, 12});
+    // A training step updates every weight tensor in place. Each split
+    // conv call packs its panels from the weight's current contents,
+    // so the forward and backward after an update must equal the
+    // per-patch oracle on the new weights, bitwise.
+    Rng rng(300);
+    Tensor x(Shape{2, 3, 16, 16});
     x.fillNormal(rng, 0.0f, 1.0f);
     Tensor w(Shape{4, 3, 3, 3});
     w.fillNormal(rng, 0.0f, 0.4f);
     const Window2d win = Window2d::square(3, 1, 1);
-    const auto scheme = makeScheme(win, 12, 12, 2, 2);
-    Tensor go(Shape{1, 4, 12, 12});
-    go.fillNormal(rng, 0.0f, 1.0f);
-
-    Tensor gx, gb;
-    Tensor gw(w.shape());
-    splitConv2dBackward(x, w, go, win, scheme, gx, gw, gb);
-    const auto after_bwd = splitWeightCacheStats();
-    EXPECT_EQ(after_bwd.misses, 1);
-    EXPECT_EQ(after_bwd.entries, 1);
-
-    // The forward packs its own panel for the *same* weight tensor:
-    // the dgrad (W^T) entry must not be returned for it.
-    splitConv2dForward(x, w, Tensor(), win, scheme);
-    const auto after_fwd = splitWeightCacheStats();
-    EXPECT_EQ(after_fwd.misses, 2);
-    EXPECT_EQ(after_fwd.entries, 2);
-    splitWeightCacheClear();
-}
-
-TEST(SplitBackward, SecondTrainingStepPacksNoNewPanels)
-{
-    // The bench gate in `scnn bench` asserts the same invariant on a
-    // multi-layer loop; this is the unit-level version. Step 1 packs
-    // one forward and one dgrad panel per layer; step 2 must be all
-    // hits (weights unchanged between the two steps here — the
-    // content hash would force a repack after an optimizer update).
-    splitWeightCacheClear();
-    Rng rng(43);
-    Tensor x(Shape{1, 3, 16, 16});
-    x.fillNormal(rng, 0.0f, 1.0f);
-    std::vector<Tensor> weights;
-    for (int l = 0; l < 2; ++l) {
-        weights.emplace_back(Shape{3, 3, 3, 3});
-        weights.back().fillNormal(rng, 0.0f, 0.4f);
-    }
-    const Window2d win = Window2d::square(3, 1, 1);
     const auto scheme = makeScheme(win, 16, 16, 2, 2);
-
-    auto step = [&] {
-        Tensor cur = x;
-        std::vector<Tensor> acts;
-        for (const auto &w : weights) {
-            acts.push_back(cur);
-            cur = splitConv2dForward(cur, w, Tensor(), win, scheme);
-        }
-        Tensor go(cur.shape());
-        Rng grng(44);
-        go.fillNormal(grng, 0.0f, 1.0f);
-        for (size_t l = weights.size(); l-- > 0;) {
-            Tensor gx, gb;
-            Tensor gw(weights[l].shape());
-            splitConv2dBackward(acts[l], weights[l], go, win,
-                                     scheme, gx, gw, gb);
-            go = std::move(gx);
-        }
-    };
-
-    step();
-    const auto after1 = splitWeightCacheStats();
-    EXPECT_EQ(after1.misses, 4); // 2 layers x (forward + dgrad)
-    step();
-    const auto after2 = splitWeightCacheStats();
-    EXPECT_EQ(after2.misses, after1.misses)
-        << "second step repacked panels";
-    EXPECT_GT(after2.hits, after1.hits);
-    splitWeightCacheClear();
-}
-
-TEST(SplitBackward, CacheEvictionsAreCounted)
-{
-    splitWeightCacheClear();
-    Rng rng(47);
-    Tensor x(Shape{1, 2, 10, 10});
-    x.fillNormal(rng, 0.0f, 1.0f);
-    const Window2d win = Window2d::square(3, 1, 1);
-    const auto scheme = makeScheme(win, 10, 10, 2, 2);
-    Tensor go(Shape{1, 3, 10, 10});
+    Tensor go(Shape{2, 4, 16, 16});
     go.fillNormal(rng, 0.0f, 1.0f);
 
-    // More live weight tensors than the LRU capacity (8): the dgrad
-    // panels must recycle slots and say so in the stats.
-    std::vector<Tensor> weights;
-    for (int i = 0; i < 10; ++i) {
-        weights.emplace_back(Shape{3, 2, 3, 3});
-        weights.back().fillNormal(rng, 0.0f, 0.4f);
-    }
-    for (const auto &w : weights) {
-        Tensor gx, gb;
-        Tensor gw(w.shape());
+    auto check = [&](const char *when) {
+        const Tensor y = splitConv2dForward(x, w, Tensor(), win, scheme);
+        const Tensor ref = oracle::runSplitOp(
+            x, win, scheme, [&](const Tensor &patch, const Window2d &local) {
+                return conv2dForward(patch, w, Tensor(), local);
+            });
+        EXPECT_TRUE(bitwiseEqual(y, ref)) << when << " forward";
+        // grad_x is the weight-dependent gradient (W^T panels).
+        Tensor gx, gb, gw(w.shape());
         splitConv2dBackward(x, w, go, win, scheme, gx, gw, gb);
-    }
-    const auto stats = splitWeightCacheStats();
-    EXPECT_GE(stats.evictions, 2);
-    EXPECT_LE(stats.entries, 8);
-    splitWeightCacheClear();
+        Tensor rgx, rgb, rgw(w.shape());
+        oracle::splitConvBackward(x, w, go, win, scheme, rgx, rgw, rgb);
+        EXPECT_TRUE(bitwiseEqual(gx, rgx)) << when << " grad_x";
+        return y;
+    };
+    const Tensor before = check("before the update");
+    for (int64_t i = 0; i < w.numel(); ++i)
+        w.at(i) += 0.25f;
+    const Tensor after = check("after the update");
+    EXPECT_GT(maxAbsDiff(before, after), 0.0f);
 }
 
 // --- SA609 static proofs and shadow validation ------------------------
@@ -448,7 +377,7 @@ TEST(SplitBackward, PlansAreCleanAcrossGeometries)
             << renderDiagnosticsText(conv_diags);
         const auto pool_diags =
             analyzeParallelPlan(buildSplitPoolBackwardPlan(
-                2, 3, cs.ih, cs.iw, win, scheme));
+                2, 3, cs.ih, cs.iw, scheme));
         EXPECT_FALSE(hasErrors(pool_diags))
             << "pool k=" << cs.k << " s=" << cs.s << " grid=" << cs.nh
             << "x" << cs.nw << '\n'

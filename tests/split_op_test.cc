@@ -6,18 +6,15 @@
  * four-patch construction of Figure 2, and the fused zero-copy
  * kernels against the per-patch oracle (split_oracle.h).
  */
-#include "core/split_op.h"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <tuple>
 #include <vector>
 
 #include "split_oracle.h"
 
 #include "kernels/conv2d.h"
-#include "kernels/gemm.h"
 #include "kernels/microkernel.h"
 #include "kernels/pool2d.h"
 #include "tensor/tensor_ops.h"
@@ -314,7 +311,7 @@ TEST(SplitOp, FusedMatchesMaterializedWithinTolerance)
         Tensor ref = oracle::runSplitOp(
             x, win, scheme,
             [&](const Tensor &patch, const Window2d &local) {
-                return conv2dForwardAuto(patch, w, Tensor(), local);
+                return conv2dForward(patch, w, Tensor(), local);
             });
         ASSERT_EQ(fused.shape(), ref.shape()) << hc.name;
         EXPECT_TRUE(allClose(fused, ref, 1e-4f)) << hc.name;
@@ -402,85 +399,6 @@ TEST(SplitPool, FusedMaxHandlesAllPaddingWindows)
     EXPECT_EQ(argmax, ref_argmax);
     EXPECT_EQ(fused.at4(0, 0, 0, 0), 0.0f);
     EXPECT_EQ(argmax[0], -1);
-}
-
-/**
- * The weight-panel cache must turn repeated fused calls into exactly
- * one pack per (layer, kernel choice) — packs == layers — serve hits
- * bitwise-identically to the miss that packed, and repack when a
- * layer's weights change in place.
- */
-TEST(SplitOp, WeightPanelCachePacksOncePerLayer)
-{
-    splitWeightCacheClear();
-    Rng rng(300);
-    Tensor x(Shape{1, 3, 16, 16});
-    x.fillNormal(rng, 0.0f, 1.0f);
-    Tensor w1(Shape{4, 3, 3, 3});
-    w1.fillNormal(rng, 0.0f, 0.4f);
-    Tensor w2(Shape{4, 3, 3, 3});
-    w2.fillNormal(rng, 0.0f, 0.4f);
-    const Window2d win = Window2d::square(3, 1, 1);
-    const auto scheme = makeScheme(win, 16, 16, 2, 2);
-
-    const int64_t packs0 = gemmPackACalls();
-    Tensor first1 = splitConv2dForward(x, w1, Tensor(), win, scheme);
-    Tensor first2 = splitConv2dForward(x, w2, Tensor(), win, scheme);
-    const int64_t packs_after_miss = gemmPackACalls();
-    EXPECT_EQ(packs_after_miss - packs0, 2)
-        << "two layers must pack exactly twice";
-    auto stats = splitWeightCacheStats();
-    EXPECT_EQ(stats.misses, 2);
-    EXPECT_EQ(stats.hits, 0);
-    EXPECT_EQ(stats.entries, 2);
-
-    // Second pass over the same "network": all hits, zero packs,
-    // identical bytes.
-    Tensor again1 = splitConv2dForward(x, w1, Tensor(), win, scheme);
-    Tensor again2 = splitConv2dForward(x, w2, Tensor(), win, scheme);
-    EXPECT_EQ(gemmPackACalls(), packs_after_miss)
-        << "cache hits must not repack";
-    stats = splitWeightCacheStats();
-    EXPECT_EQ(stats.misses, 2);
-    EXPECT_EQ(stats.hits, 2);
-    EXPECT_TRUE(allClose(first1, again1, 0.0f));
-    EXPECT_TRUE(allClose(first2, again2, 0.0f));
-
-    // In-place weight update (training step): the content hash must
-    // catch it and repack rather than serve stale panels.
-    for (int64_t i = 0; i < w1.numel(); ++i)
-        w1.at(i) += 0.25f;
-    Tensor updated = splitConv2dForward(x, w1, Tensor(), win, scheme);
-    stats = splitWeightCacheStats();
-    EXPECT_EQ(stats.misses, 3) << "stale entry must repack";
-    Tensor fresh = oracle::runSplitOp(
-        x, win, scheme, [&](const Tensor &patch, const Window2d &local) {
-            return conv2dForwardAuto(patch, w1, Tensor(), local);
-        });
-    EXPECT_TRUE(allClose(updated, fresh, 1e-4f));
-
-    splitWeightCacheClear();
-    EXPECT_EQ(splitWeightCacheStats().entries, 0);
-}
-
-/** The cache's 64-bit-word content hash must see a one-ulp change in
- * any float — the odd tail float included — so an in-place update can
- * never serve stale panels. */
-TEST(SplitOp, WeightCacheHashSeesEveryFloat)
-{
-    std::vector<float> w(1153);
-    for (size_t i = 0; i < w.size(); ++i)
-        w[i] = 0.001f * static_cast<float>(i);
-    const int64_t count = static_cast<int64_t>(w.size());
-    const uint64_t h0 = splitWeightCacheHash(w.data(), count);
-    for (size_t i = 0; i < w.size(); ++i) {
-        const float old = w[i];
-        w[i] = std::nextafter(old, 1e9f);
-        EXPECT_NE(splitWeightCacheHash(w.data(), count), h0) << i;
-        w[i] = old;
-    }
-    EXPECT_EQ(splitWeightCacheHash(w.data(), count), h0);
-    EXPECT_NE(splitWeightCacheHash(w.data(), count - 1), h0);
 }
 
 TEST(SplitOp, StochasticSchemeStillTilesOutput)

@@ -17,9 +17,10 @@
 #include <optional>
 #include <vector>
 
-#include "core/split_op.h"
 #include "graph/graph.h"
 #include "kernels/batchnorm.h"
+#include "kernels/conv2d.h"
+#include "kernels/pool2d.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 #include "train/executor.h"

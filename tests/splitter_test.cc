@@ -11,7 +11,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/split_op.h"
+#include "kernels/conv2d.h"
+#include "kernels/pool2d.h"
 #include "models/models.h"
 #include "split_oracle.h"
 #include "tensor/tensor_ops.h"

@@ -56,7 +56,7 @@ SPLIT_POOL_OVERHEAD_MAX = {
 }
 # Band-fused split backward (dgrad + wgrad + bias) vs the unsplit
 # conv2dBackward at 1 thread. Both sides run the same band-pipelined
-# GEMM engine and the split side reuses cached W^T panels, so the
+# GEMM engine and pack their W^T panels once per call, so the
 # ratio isolates the per-patch staging and halo-scatter bookkeeping
 # (measured ~1.0x at both depths on the reference container).
 SPLIT_BACKWARD_OVERHEAD_MAX = {

@@ -25,13 +25,6 @@
  *   scnn train    [--epochs N] [--samples N] [--mode base|scnn|sscnn]
  *                 [--depth D] [--grid HxW]
  *       Small CPU training run on the synthetic dataset.
- *   scnn bench    [--steps N] [--grid HxW] [--layers N] [--json]
- *       Run a small split-conv training micro-workload (forward +
- *       band-fused backward per layer per step) and report the
- *       weight-panel cache counters per step. Step 1 packs every
- *       layer's forward and dgrad panels; later steps must be
- *       all-hit (the CI gate asserts new_panels == 0 from step 2
- *       on). Exits 1 if any post-warmup step packs a panel.
  *   scnn serve    [--tenants N] [--workers N] [--duration N]
  *                 [--closed] [--chaos] [--squeeze] [--no-degrade]
  *                 [--util F] [--seed N] [--json]
@@ -60,7 +53,6 @@
 
 #include "analysis/analyzer.h"
 #include "analysis/parallel_model.h"
-#include "core/split_op.h"
 #include "core/splitter.h"
 #include "data/synthetic.h"
 #include "graph/dot.h"
@@ -322,107 +314,6 @@ cmdTrain(const Args &args)
 }
 
 int
-cmdBench(const Args &args)
-{
-    // A split training micro-workload exercising the weight-panel
-    // cache end to end: each step runs, per layer, the fused split
-    // forward (GEMM-A panels) and the band-fused split backward
-    // (dgrad W^T panels). The cache keys forward and backward
-    // layouts separately, so step 1 misses 2x layers and every later
-    // step is all-hit — training steps stop paying for packing.
-    const int64_t steps = std::max<int64_t>(2, args.flagInt("steps", 2));
-    const int64_t layers = std::max<int64_t>(1, args.flagInt("layers", 3));
-    const auto [gh, gw] = parseGrid(args.flag("grid", "2x2")).value();
-    const bool json = args.has("json");
-
-    const int64_t n = 2, c = 8, oc = 8, img = 32;
-    const Window2d win = Window2d::square(3, 1, 1);
-    const SplitScheme2d scheme = splitWindowOp2d(
-        win, img, img, evenOutputSplit(win.outH(img), gh),
-        evenOutputSplit(win.outW(img), gw));
-
-    Rng rng(7);
-    Tensor x(Shape{n, c, img, img});
-    x.fillNormal(rng, 0.0f, 1.0f);
-    std::vector<Tensor> weights, biases;
-    for (int64_t l = 0; l < layers; ++l) {
-        Tensor w(Shape{oc, c, 3, 3});
-        w.fillNormal(rng, 0.0f, 0.1f);
-        weights.push_back(std::move(w));
-        Tensor b(Shape{oc});
-        b.fillNormal(rng, 0.0f, 0.1f);
-        biases.push_back(std::move(b));
-    }
-
-    splitWeightCacheClear();
-    struct StepStats
-    {
-        SplitWeightCacheStats after;
-        int64_t new_panels = 0;
-    };
-    std::vector<StepStats> per_step;
-    SplitWeightCacheStats prev;
-    for (int64_t s = 0; s < steps; ++s) {
-        for (int64_t l = 0; l < layers; ++l) {
-            Tensor out = splitConv2dForward(x, weights[l], biases[l],
-                                            win, scheme);
-            Tensor gx;
-            Tensor gw(weights[l].shape());
-            Tensor gb(biases[l].shape());
-            splitConv2dBackward(x, weights[l], out, win, scheme, gx,
-                                gw, gb);
-        }
-        StepStats st;
-        st.after = splitWeightCacheStats();
-        st.new_panels = st.after.misses - prev.misses;
-        prev = st.after;
-        per_step.push_back(st);
-    }
-
-    int64_t post_warmup_packs = 0;
-    for (size_t s = 1; s < per_step.size(); ++s)
-        post_warmup_packs += per_step[s].new_panels;
-
-    if (json) {
-        std::printf("{\"layers\": %lld, \"steps\": %lld, "
-                    "\"grid\": \"%dx%d\", \"per_step\": [",
-                    static_cast<long long>(layers),
-                    static_cast<long long>(steps), gh, gw);
-        for (size_t s = 0; s < per_step.size(); ++s) {
-            const auto &st = per_step[s];
-            std::printf(
-                "%s\n  {\"step\": %zu, \"hits\": %lld, "
-                "\"misses\": %lld, \"evictions\": %lld, "
-                "\"entries\": %lld, \"new_panels\": %lld}",
-                s ? "," : "", s + 1,
-                static_cast<long long>(st.after.hits),
-                static_cast<long long>(st.after.misses),
-                static_cast<long long>(st.after.evictions),
-                static_cast<long long>(st.after.entries),
-                static_cast<long long>(st.new_panels));
-        }
-        std::printf("\n], \"post_warmup_packs\": %lld}\n",
-                    static_cast<long long>(post_warmup_packs));
-    } else {
-        Table t({"step", "hits", "misses", "evictions", "entries",
-                 "new panels"});
-        for (size_t s = 0; s < per_step.size(); ++s) {
-            const auto &st = per_step[s];
-            t.addRow({std::to_string(s + 1),
-                      std::to_string(st.after.hits),
-                      std::to_string(st.after.misses),
-                      std::to_string(st.after.evictions),
-                      std::to_string(st.after.entries),
-                      std::to_string(st.new_panels)});
-        }
-        t.print(std::cout);
-        std::printf("post-warmup packs: %lld (want 0)\n",
-                    static_cast<long long>(post_warmup_packs));
-    }
-    return post_warmup_packs == 0 ? 0 : 1;
-}
-
-int
 cmdServe(const Args &args)
 {
     using namespace serve;
@@ -545,7 +436,7 @@ usage()
 {
     std::fprintf(stderr,
                  "usage: scnn "
-                 "<profile|plan|lint|maxbatch|dot|train|bench|serve> "
+                 "<profile|plan|lint|maxbatch|dot|train|serve> "
                  "<model> [flags]\nsee the header of "
                  "tools/scnn_cli.cc for the full flag list\n");
     return 2;
@@ -578,8 +469,6 @@ main(int argc, char **argv)
             return cmdDot(args);
         if (cmd == "train")
             return cmdTrain(args);
-        if (cmd == "bench")
-            return cmdBench(args);
         if (cmd == "serve")
             return cmdServe(args);
     } catch (const std::exception &e) {
