@@ -175,6 +175,57 @@ TEST(Conv2d, AsymmetricPaddingShapes)
     EXPECT_EQ(out.shape().dim(3), win.outW(7));
 }
 
+TEST(Conv2d, StridedOneByOneShortcutMatchesDirectReference)
+{
+    // ResNet's 1x1/2 projection shortcut has k < s, which the paper's
+    // split formulation excludes; unsplit, it still runs the split
+    // engine over the whole-image scheme. Forward and both gradients
+    // against the direct subsampled reference.
+    Rng rng(12);
+    const int64_t n = 2, c = 3, oc = 4, ih = 7, iw = 8;
+    Tensor x(Shape{n, c, ih, iw});
+    Tensor w(Shape{oc, c, 1, 1});
+    Tensor b(Shape{oc});
+    x.fillNormal(rng, 0.0f, 1.0f);
+    w.fillNormal(rng, 0.0f, 0.5f);
+    b.fillNormal(rng, 0.0f, 0.5f);
+    const Window2d win = Window2d::square(1, 2, 0);
+    EXPECT_NO_THROW(checkSchemeGeometry(win, wholeImageScheme(win, ih, iw)));
+    Tensor out = conv2dForward(x, w, b, win);
+    const int64_t oh = win.outH(ih), ow = win.outW(iw);
+    ASSERT_EQ(out.shape(), Shape({n, oc, oh, ow}));
+    Tensor go(out.shape());
+    go.fillNormal(rng, 0.0f, 1.0f);
+    Tensor gx, gw(w.shape()), gb(b.shape());
+    conv2dBackward(x, w, go, win, gx, gw, gb);
+    ASSERT_EQ(gx.shape(), x.shape());
+
+    Tensor gx_ref(x.shape()), gw_ref(w.shape()), gb_ref(b.shape());
+    for (int64_t in = 0; in < n; ++in)
+        for (int64_t o = 0; o < oc; ++o)
+            for (int64_t oy = 0; oy < oh; ++oy)
+                for (int64_t ox = 0; ox < ow; ++ox) {
+                    const float g = go.at4(in, o, oy, ox);
+                    float acc = b.at(o);
+                    for (int64_t ic = 0; ic < c; ++ic) {
+                        const float xv = x.at4(in, ic, 2 * oy, 2 * ox);
+                        acc += xv * w.at4(o, ic, 0, 0);
+                        gx_ref.at4(in, ic, 2 * oy, 2 * ox) +=
+                            g * w.at4(o, ic, 0, 0);
+                        gw_ref.at4(o, ic, 0, 0) += g * xv;
+                    }
+                    gb_ref.at(o) += g;
+                    EXPECT_NEAR(out.at4(in, o, oy, ox), acc, 1e-4f);
+                }
+    // Odd rows and columns are skipped by every window: their
+    // gradient is exactly zero.
+    EXPECT_LT(maxAbsDiff(gx, gx_ref), 1e-4f);
+    EXPECT_EQ(gx.at4(0, 0, 1, 0), 0.0f);
+    EXPECT_EQ(gx.at4(1, 2, 6, 7), 0.0f);
+    EXPECT_LT(maxAbsDiff(gw, gw_ref), 1e-3f);
+    EXPECT_LT(maxAbsDiff(gb, gb_ref), 1e-4f);
+}
+
 TEST(Conv2d, BackwardMatchesNumericGradient)
 {
     Rng rng(5);
@@ -214,6 +265,33 @@ TEST(MaxPool2d, ForwardAndBackward)
     EXPECT_EQ(gx.at4(0, 0, 1, 1), 1.0f);
     EXPECT_EQ(gx.at4(0, 0, 0, 0), 0.0f);
     EXPECT_EQ(sumAll(gx), 4.0f);
+}
+
+TEST(MaxPool2d, PaddingNeverWinsTheMax)
+{
+    // Padding taps are skipped, not read as zeros: an all-negative
+    // input keeps its own maxima under partly padded windows. Windows
+    // that see only padding write 0 with argmax -1 and route no
+    // gradient.
+    Tensor x(Shape{1, 1, 3, 3});
+    for (int64_t i = 0; i < 9; ++i)
+        x.at(i) = -static_cast<float>(i + 1);
+    const Window2d win{2, 2, 2, 2, 1, 3, 1, 3};
+    std::vector<int64_t> argmax;
+    Tensor out = maxPool2dForward(x, win, argmax);
+    ASSERT_EQ(out.shape(), Shape({1, 1, 3, 3}));
+    const float want[9] = {-1, -2, 0, -4, -5, 0, 0, 0, 0};
+    const int64_t want_argmax[9] = {0, 1, -1, 3, 4, -1, -1, -1, -1};
+    for (int64_t i = 0; i < 9; ++i) {
+        EXPECT_EQ(out.at(i), want[i]) << i;
+        EXPECT_EQ(argmax[static_cast<size_t>(i)], want_argmax[i]) << i;
+    }
+
+    Tensor gx = maxPool2dBackward(x.shape(), Tensor(out.shape(), 1.0f),
+                                  argmax);
+    const float want_gx[9] = {1, 1, 0, 1, 1, 0, 0, 0, 0};
+    for (int64_t i = 0; i < 9; ++i)
+        EXPECT_EQ(gx.at(i), want_gx[i]) << i;
 }
 
 TEST(AvgPool2d, BackwardMatchesNumericGradient)

@@ -293,6 +293,36 @@ TEST(SplitBackward, AvgPoolFusedMatchesMaterializedBitwise)
     }
 }
 
+TEST(SplitBackward, AvgPoolIsAdjointOfFusedForward)
+{
+    // The split avg-pool is linear in x, so its backward must satisfy
+    // <go, P(x)> = <P^T(go), x> — checked against the fused forward
+    // over the halo geometries, where windows straddling a seam are
+    // clipped to their patch.
+    uint32_t seed = 160;
+    for (const auto &hc : kHaloCases) {
+        Rng rng(++seed);
+        Tensor x(Shape{2, 3, hc.ih, hc.iw});
+        x.fillNormal(rng, 0.0f, 1.0f);
+        const Window2d win = Window2d::square(hc.k, hc.s, hc.p);
+        const auto scheme =
+            makeScheme(win, hc.ih, hc.iw, hc.nh, hc.nw);
+        const Tensor out = splitAvgPool2dForward(x, win, scheme);
+        Tensor go(out.shape());
+        go.fillNormal(rng, 0.0f, 1.0f);
+        const Tensor gx =
+            splitAvgPool2dBackward(x.shape(), go, win, scheme);
+        ASSERT_EQ(gx.shape(), x.shape()) << hc.name;
+
+        double lhs = 0.0, rhs = 0.0;
+        for (int64_t i = 0; i < out.numel(); ++i)
+            lhs += static_cast<double>(go.at(i)) * out.at(i);
+        for (int64_t i = 0; i < x.numel(); ++i)
+            rhs += static_cast<double>(gx.at(i)) * x.at(i);
+        EXPECT_NEAR(lhs, rhs, 1e-4 * (1.0 + std::abs(lhs))) << hc.name;
+    }
+}
+
 TEST(SplitBackward, NaturalSplitAvgPoolMatchesUnsplitBackward)
 {
     // k == s with original padding: windows never cross a patch

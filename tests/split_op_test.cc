@@ -4,7 +4,8 @@
  * preservation, exact equivalence for natural splits (k == s),
  * interior equivalence for overlapping windows (k > s), the 2-D
  * four-patch construction of Figure 2, and the fused zero-copy
- * kernels against the per-patch oracle (split_oracle.h).
+ * kernels (conv, pooling, batchnorm) against the per-patch oracle
+ * (split_oracle.h).
  */
 
 #include <gtest/gtest.h>
@@ -399,6 +400,72 @@ TEST(SplitPool, FusedMaxHandlesAllPaddingWindows)
     EXPECT_EQ(argmax, ref_argmax);
     EXPECT_EQ(fused.at4(0, 0, 0, 0), 0.0f);
     EXPECT_EQ(argmax[0], -1);
+}
+
+/** One split BN call over uneven patches computes, patch by patch,
+ * exactly what the unsplit kernels compute on each materialized
+ * patch: output, x_hat, statistics, grad_x, and the parameter
+ * gradients and running statistics accumulated in patch order. */
+TEST(SplitBatchNorm, PatchesMatchMaterializedPatchesBitwise)
+{
+    Rng rng(260);
+    const int64_t c = 4;
+    const float eps = 1e-5f, momentum = 0.1f;
+    Tensor x(Shape{3, c, 11, 10});
+    x.fillNormal(rng, 2.0f, 1.5f);
+    Tensor gamma(Shape{c}), beta(Shape{c});
+    gamma.fillUniform(rng, 0.5f, 1.5f);
+    beta.fillNormal(rng, 0.0f, 0.5f);
+    Tensor go(x.shape());
+    go.fillNormal(rng, 0.0f, 1.0f);
+    const auto scheme = makeScheme(Window2d::square(3, 1, 1), 11, 10, 2, 3);
+    const auto views = splitPatchViews(scheme);
+
+    BatchNormCache cache;
+    const Tensor out =
+        splitBatchNormForwardStats(x, views, gamma, beta, eps, cache);
+    ASSERT_EQ(cache.mean.numel(), scheme.parts() * c);
+    Tensor gg(Shape{c}), gb(Shape{c});
+    const Tensor gx =
+        splitBatchNormBackward(go, views, gamma, cache, gg, gb);
+    Tensor rm(Shape{c}), rv(Shape{c}, 1.0f);
+    applyBatchNormRunningUpdate(cache, momentum, rm, rv);
+
+    Tensor gg_ref(Shape{c}), gb_ref(Shape{c});
+    Tensor rm_ref(Shape{c}), rv_ref(Shape{c}, 1.0f);
+    for (int hi = 0; hi < scheme.h.parts(); ++hi)
+        for (int wi = 0; wi < scheme.w.parts(); ++wi) {
+            const int64_t p = hi * scheme.w.parts() + wi;
+            BatchNormCache pc;
+            const Tensor pout = batchNormForward(
+                oracle::slicePatch(x, scheme, hi, wi), gamma, beta, rm_ref,
+                rv_ref, momentum, eps, pc);
+            EXPECT_TRUE(allClose(oracle::slicePatch(out, scheme, hi, wi),
+                                 pout, 0.0f))
+                << p;
+            EXPECT_TRUE(
+                allClose(oracle::slicePatch(cache.x_hat, scheme, hi, wi),
+                         pc.x_hat, 0.0f))
+                << p;
+            for (int64_t ic = 0; ic < c; ++ic) {
+                EXPECT_EQ(cache.mean.at(p * c + ic), pc.mean.at(ic)) << p;
+                EXPECT_EQ(cache.batch_var.at(p * c + ic),
+                          pc.batch_var.at(ic))
+                    << p;
+                EXPECT_EQ(cache.inv_std.at(p * c + ic), pc.inv_std.at(ic))
+                    << p;
+            }
+            const Tensor pgx = batchNormBackward(
+                oracle::slicePatch(go, scheme, hi, wi), gamma, pc, gg_ref,
+                gb_ref);
+            EXPECT_TRUE(
+                allClose(oracle::slicePatch(gx, scheme, hi, wi), pgx, 0.0f))
+                << p;
+        }
+    EXPECT_TRUE(allClose(gg, gg_ref, 0.0f));
+    EXPECT_TRUE(allClose(gb, gb_ref, 0.0f));
+    EXPECT_TRUE(allClose(rm, rm_ref, 0.0f));
+    EXPECT_TRUE(allClose(rv, rv_ref, 0.0f));
 }
 
 TEST(SplitOp, StochasticSchemeStillTilesOutput)

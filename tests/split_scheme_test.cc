@@ -198,6 +198,47 @@ TEST(StochasticOutputSplit, ProducesVariedSchemes)
     EXPECT_GT(seen.size(), 5u) << "stochastic splitting looks constant";
 }
 
+TEST(SplitScheme, WholeImageSchemeIsTheOnePatchSplit)
+{
+    // An unsplit layer runs the split kernels over one patch: the
+    // whole image, with the window's own paddings. For k >= s that is
+    // exactly what Eqs. 1-7 give for the one-part output partition
+    // O = (0).
+    const int64_t ih = 17, iw = 12;
+    const Window2d wins[] = {
+        Window2d::square(3, 1, 1),    // conv3x3
+        Window2d::square(2, 2, 0),    // natural pool
+        Window2d::square(3, 2, 1),    // strided, overlapping
+        Window2d{3, 3, 2, 2, 1, 0, 0, 2}, // asymmetric padding
+        Window2d{5, 3, 1, 1, 2, 1, 0, 1},
+    };
+    auto samePiece = [](const SplitPiece1d &a, const SplitPiece1d &b) {
+        return a.in_start == b.in_start && a.in_end == b.in_end &&
+               a.out_start == b.out_start && a.out_end == b.out_end &&
+               a.pad_b == b.pad_b && a.pad_e == b.pad_e;
+    };
+    for (const Window2d &win : wins) {
+        const SplitScheme2d whole = wholeImageScheme(win, ih, iw);
+        ASSERT_EQ(whole.parts(), 1) << win.toString();
+        const SplitScheme2d ref = splitWindowOp2d(win, ih, iw, {0}, {0});
+        ASSERT_EQ(ref.parts(), 1) << win.toString();
+        EXPECT_TRUE(samePiece(whole.h.pieces[0], ref.h.pieces[0]))
+            << win.toString();
+        EXPECT_TRUE(samePiece(whole.w.pieces[0], ref.w.pieces[0]))
+            << win.toString();
+        EXPECT_EQ(whole.h.pieces[0].outLen(), win.outH(ih));
+        EXPECT_EQ(whole.w.pieces[0].outLen(), win.outW(iw));
+        EXPECT_EQ(patchWindow(win, whole, 0, 0), win) << win.toString();
+        EXPECT_NO_THROW(checkSchemeGeometry(win, whole));
+        const auto views = splitPatchViews(whole);
+        ASSERT_EQ(views.size(), 1u);
+        EXPECT_EQ(views[0].r0, 0);
+        EXPECT_EQ(views[0].c0, 0);
+        EXPECT_EQ(views[0].ih, ih);
+        EXPECT_EQ(views[0].iw, iw);
+    }
+}
+
 TEST(SplitScheme, RejectsDownsamplingConvolutions)
 {
     // k < s is excluded by the paper's formulation.
