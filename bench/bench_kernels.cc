@@ -244,7 +244,8 @@ main(int argc, char **argv)
     // branch; it now memsets the flanks and gathers the middle over a
     // hoisted valid range, mirroring the stride-1 memcpy path. Report
     // the column fill rate at both strides (GB/s of produced column
-    // data, 64x56x56 input, 3x3 kernel, pad 1, 1 thread).
+    // data, 64x56x56 input, 3x3 kernel, pad 1, 1 thread) over the
+    // whole-image scheme: row clip [0, ih), no width cuts.
     double i2c_s1_gbps = 0.0, i2c_s2_gbps = 0.0;
     {
         const int64_t bc = 64, bih = 56, biw = 56;
@@ -256,11 +257,11 @@ main(int argc, char **argv)
             const int64_t krows = bc * w.kh * w.kw;
             std::vector<float> col(
                 static_cast<size_t>(krows * oh * ow));
+            const SplitScheme1d whole = wholeImageScheme(w, bih, biw).w;
             const double s = timeIt(
                 [&] {
-                    im2colViewStrided(ix.data(), bc, bih, biw,
-                                      PatchView::full(bih, biw), w, 0,
-                                      oh, col.data(), oh * ow, ow);
+                    im2colViewStrided(ix.data(), bc, bih, biw, w, whole, 0,
+                                      bih, 0, oh, col.data(), oh * ow, ow);
                 },
                 11);
             return static_cast<double>(krows * oh * ow) *

@@ -234,8 +234,12 @@ checkNodeShapes(const Graph &graph, const Node &n, DiagnosticSink &sink)
     }
 }
 
-} // namespace
-
+/**
+ * Suite 1: graph well-formedness — consistent shapes, no dangling
+ * tensors, valid topological (construction) order, producer/consumer
+ * cross-links, exactly one input and one output, and slice/concat
+ * tiling geometry. Never panics, unlike Graph::validate().
+ */
 std::vector<Diagnostic>
 analyzeGraph(const Graph &graph)
 {
@@ -354,6 +358,8 @@ analyzeGraph(const Graph &graph)
 
     return sink.take();
 }
+
+} // namespace
 
 // ---------------------------------------------------------------------------
 // Suite 2: storage-assignment legality (SA2xx)

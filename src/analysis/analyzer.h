@@ -37,14 +37,6 @@ struct AnalyzerOptions
 };
 
 /**
- * Suite 1: graph well-formedness — consistent shapes, no dangling
- * tensors, valid topological (construction) order, producer/consumer
- * cross-links, exactly one input and one output, and slice/concat
- * tiling geometry. Never panics, unlike Graph::validate().
- */
-std::vector<Diagnostic> analyzeGraph(const Graph &graph);
-
-/**
  * Suite 2: storage-assignment legality — stored reference counts
  * match the tensor->TSO maps (no underflow), value-TSO sharing only
  * through in-place ReLU or flatten views, gradient-TSO sharing only

@@ -505,35 +505,37 @@ convItemRowSpans(const ConvWorkItem &item, int64_t channels, int64_t out_h,
     return spans;
 }
 
-/** Per image of @p item, every patch input rectangle its bands stage
- * from, modeled as the conservative contiguous hull from the
- * rectangle's first float (channel 0) to its last (channel c-1) — the
- * same hull im2colViewStrided records, and provably inside the
- * image. */
+/** Image @p img's patch @p view of a C x ih x iw batch as the
+ * conservative contiguous hull from the rectangle's first float
+ * (channel 0) to its last (channel c-1) — the span shadowRecordPatch
+ * records, and provably inside the image. */
+StridedSpan
+patchHull(int64_t img, const PatchView &view, int64_t c, int64_t ih,
+          int64_t iw)
+{
+    const int64_t first = view.r0 * iw + view.c0;
+    const int64_t last =
+        (c - 1) * ih * iw + (view.r0 + view.ih - 1) * iw + view.c0 + view.iw;
+    return StridedSpan::interval(img * c * ih * iw + first, last - first);
+}
+
+/** Per (image, band) of @p item, the hull of the band's input rows
+ * (bandInputRows): what its staging reads from x and its dgrad
+ * scatters into grad_x. Bands whose taps are all padding touch
+ * nothing. */
 std::vector<StridedSpan>
-convItemInputHulls(const ConvWork &work, const ConvWorkItem &item,
-                   const SplitScheme2d &scheme, int64_t c, int64_t ih,
-                   int64_t iw)
+convItemBandHulls(const ConvWork &work, const ConvWorkItem &item,
+                  const Window2d &win, const SplitScheme2d &scheme,
+                  int64_t c, int64_t ih, int64_t iw)
 {
     std::vector<StridedSpan> hulls;
-    for (int64_t j = 0; j < item.imgs; ++j) {
-        int last_hi = -1;
+    for (int64_t j = 0; j < item.imgs; ++j)
         for (int bi = item.band0; bi < item.band1; ++bi) {
-            const int hi = work.bands[static_cast<size_t>(bi)].hi;
-            if (hi == last_hi)
-                continue;
-            last_hi = hi;
-            const SplitPiece1d &ph = scheme.h.pieces[static_cast<size_t>(hi)];
-            for (const SplitPiece1d &pw : scheme.w.pieces) {
-                const int64_t first = ph.in_start * iw + pw.in_start;
-                const int64_t last = (c - 1) * ih * iw +
-                                     (ph.in_start + ph.inLen() - 1) * iw +
-                                     pw.in_start + pw.inLen();
-                hulls.push_back(StridedSpan::interval(
-                    (item.img0 + j) * c * ih * iw + first, last - first));
-            }
+            const PatchView rows = bandInputRows(
+                win, scheme.h, work.bands[static_cast<size_t>(bi)], iw);
+            if (rows.ih > 0)
+                hulls.push_back(patchHull(item.img0 + j, rows, c, ih, iw));
         }
-    }
     return hulls;
 }
 
@@ -599,11 +601,11 @@ buildSplitConvPlan(int64_t n, int64_t c, int64_t ih, int64_t iw,
         item.name = convItemName(work, it);
         item.epoch = 0; // one parallelFor = one barrier group
         // The item writes its parent output rows of every channel,
-        // full width (all width patches), per image.
+        // full width, per image.
         for (const StridedSpan &sp : convItemRowSpans(it, oc, out_h, out_w))
             item.accesses.push_back({0, true, sp});
         for (const StridedSpan &sp :
-             convItemInputHulls(work, it, scheme, c, ih, iw))
+             convItemBandHulls(work, it, win, scheme, c, ih, iw))
             item.accesses.push_back({1, false, sp});
         // Weight panels are shared read-only by every item.
         item.accesses.push_back(
@@ -676,12 +678,9 @@ splitPoolPlan(int64_t n, int64_t c, int64_t ih, int64_t iw,
                                 ph.outLen(),
                                 out_w,
                                 pw.outLen()};
-        const int64_t first = ph.in_start * iw + pw.in_start;
-        const int64_t last = (c - 1) * ih * iw +
-                             (ph.in_start + ph.inLen() - 1) * iw +
-                             pw.in_start + pw.inLen();
-        const StridedSpan hull =
-            StridedSpan::interval(in * c * ih * iw + first, last - first);
+        const StridedSpan hull = patchHull(
+            in, {ph.in_start, pw.in_start, ph.inLen(), pw.inLen()}, c, ih,
+            iw);
         item.accesses.push_back({0, true, backward ? hull : block});
         item.accesses.push_back({1, false, backward ? block : hull});
         plan.items.push_back(std::move(item));
@@ -800,42 +799,14 @@ buildSplitConvBackwardPlan(int64_t n, int64_t c, int64_t ih,
         item.epoch = i % per_unit;
         item.seq = i;
 
-        // dgrad scatter: per (image, band, width patch), the
-        // band-restricted write hull col2imViewStrided claims — patch
-        // rows [iy_lo, iy_hi) reachable from output rows [oy0, oy1),
-        // channel 0's first float through channel c-1's last.
-        for (int64_t j = 0; j < it.imgs; ++j)
-            for (int bi = it.band0; bi < it.band1; ++bi) {
-                const SplitBandItem &band =
-                    work.bands[static_cast<size_t>(bi)];
-                const SplitPiece1d &ph =
-                    scheme.h.pieces[static_cast<size_t>(band.hi)];
-                for (int wi = 0; wi < scheme.w.parts(); ++wi) {
-                    const SplitPiece1d &pw =
-                        scheme.w.pieces[static_cast<size_t>(wi)];
-                    const Window2d local =
-                        patchWindow(win, scheme, band.hi, wi);
-                    const int64_t iy_lo = std::max<int64_t>(
-                        0, band.oy0 * local.sh - local.ph_b);
-                    const int64_t iy_hi = std::min<int64_t>(
-                        ph.inLen(),
-                        (band.oy1 - 1) * local.sh - local.ph_b + local.kh);
-                    if (iy_lo >= iy_hi)
-                        continue;
-                    item.accesses.push_back(
-                        {0, true,
-                         StridedSpan::interval(
-                             (it.img0 + j) * c * ih * iw +
-                                 (ph.in_start + iy_lo) * iw + pw.in_start,
-                             (c - 1) * ih * iw + (iy_hi - 1 - iy_lo) * iw +
-                                 pw.inLen())});
-                }
-            }
-        // Column staging reads the same input hulls the forward reads;
-        // both gradient GEMMs read the item's grad_out rows.
+        // Per (image, band): the dgrad scatter into grad_x and the
+        // column staging from x cover the same input rows; both
+        // gradient GEMMs read the item's grad_out rows.
         for (const StridedSpan &sp :
-             convItemInputHulls(work, it, scheme, c, ih, iw))
+             convItemBandHulls(work, it, win, scheme, c, ih, iw)) {
+            item.accesses.push_back({0, true, sp});
             item.accesses.push_back({2, false, sp});
+        }
         for (const StridedSpan &sp : convItemRowSpans(it, oc, out_h, out_w))
             item.accesses.push_back({1, false, sp});
         item.accesses.push_back(

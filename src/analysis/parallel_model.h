@@ -176,9 +176,10 @@ void checkParallelPlan(const ParallelPlan &plan);
 
 /**
  * Model splitConv2dForward for @p n images of a
- * C x ih x iw input under @p scheme. Reads are modeled as each patch's
- * halo rectangle (a conservative contiguous hull per patch and image —
- * exactly what the shadow recorder logs).
+ * C x ih x iw input under @p scheme. Reads are modeled per (image,
+ * band) as the band's input rows (bandInputRows, full width, as a
+ * conservative contiguous hull — exactly what the shadow recorder
+ * logs).
  */
 ParallelPlan buildSplitConvPlan(int64_t n, int64_t c, int64_t ih,
                                 int64_t iw, int64_t oc,
@@ -193,10 +194,10 @@ ParallelPlan buildSplitPoolPlan(int64_t n, int64_t c, int64_t ih,
  * Model splitConv2dBackward: wgrad reduction
  * units (images, or image groups) fan out across workers, and a
  * worker runs its unit's convWork items serially ascending — so the
- * plan's epochs encode that per-unit serial order. Per item: grad_x
- * scatter hulls (band-restricted, mirroring col2imViewStrided, per
- * image) land in the `ordered_accum` grad_x region, grad_out rows and
- * patch input hulls are read, the packed dgrad (W^T) panels are
+ * plan's epochs encode that per-unit serial order. Per item and per
+ * (image, band), the band's input-row hull (bandInputRows) is
+ * scattered into the `ordered_accum` grad_x region and read from x;
+ * grad_out rows are read, the packed dgrad (W^T) panels are
  * shared read-only, and the unit's wgrad partial accumulator chains
  * items under the same ordered discipline. A per-image bias item then
  * reduces grad_out rows into its slot of the unit's accumulator, and

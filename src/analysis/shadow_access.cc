@@ -363,6 +363,8 @@ void
 shadowRecordPatch(const float *img, int64_t c, int64_t ih, int64_t iw,
                   const PatchView &view, bool write)
 {
+    if (view.ih <= 0 || view.iw <= 0)
+        return;
     shadowRecord(img + view.r0 * iw + view.c0,
                  (c - 1) * ih * iw + (view.ih - 1) * iw + view.iw, write);
 }

@@ -131,7 +131,8 @@ void shadowRecordSpan(const void *ptr, const StridedSpan &span,
 
 /** Record patch @p view of a C x ih x iw parent image @p img as its
  * contiguous hull: channel 0's first rectangle float through channel
- * c-1's last (the span the SA6xx models predict for a patch). */
+ * c-1's last (the span the SA6xx models predict for a patch). An
+ * empty view records nothing. */
 void shadowRecordPatch(const float *img, int64_t c, int64_t ih,
                        int64_t iw, const PatchView &view, bool write);
 

@@ -17,54 +17,50 @@ namespace scnn {
 namespace {
 
 /**
- * Call fn(image, col_offset, view, local_window, oy0, oy1) for every
- * (image, band, width patch) of @p item, in that nesting order, all
- * ascending. col_offset is the patch band's first column in the
- * item's column matrix: image blocks of rows * out_w columns side by
- * side, each in parent output order.
+ * Call fn(image, col_offset, band) for every (image, band) of
+ * @p item, in that nesting order, both ascending. col_offset is the
+ * band's first column in the item's column matrix: image blocks of
+ * rows * out_w columns side by side, each in parent output order.
  */
 template <typename Fn>
 void
-forEachItemPatch(const ConvWork &work, const ConvWorkItem &item,
-                 const Window2d &win, const SplitScheme2d &scheme,
-                 int64_t out_w, Fn &&fn)
+forEachItemBand(const ConvWork &work, const ConvWorkItem &item,
+                int64_t out_w, Fn &&fn)
 {
     const int64_t img_cols = item.rows * out_w;
     for (int64_t j = 0; j < item.imgs; ++j)
         for (int bi = item.band0; bi < item.band1; ++bi) {
             const SplitBandItem &band = work.bands[static_cast<size_t>(bi)];
-            const SplitPiece1d &ph =
-                scheme.h.pieces[static_cast<size_t>(band.hi)];
-            const int64_t off =
-                j * img_cols + (ph.out_start + band.oy0 - item.row0) * out_w;
-            for (int wi = 0; wi < scheme.w.parts(); ++wi) {
-                const SplitPiece1d &pw =
-                    scheme.w.pieces[static_cast<size_t>(wi)];
-                fn(item.img0 + j, off + pw.out_start,
-                   PatchView{ph.in_start, pw.in_start, ph.inLen(),
-                             pw.inLen()},
-                   patchWindow(win, scheme, band.hi, wi), band.oy0,
-                   band.oy1);
-            }
+            fn(item.img0 + j, j * img_cols + (band.oy0 - item.row0) * out_w,
+               band);
         }
 }
 
-/** Shadow claim of one band's dgrad scatter: the patch rows that
- * output rows [oy0, oy1) can touch (the band-restricted hull the
- * SA6xx backward model predicts), nothing when every window element
- * of the band is local padding. */
+/** Stage the columns of every (image, band) of @p item from the
+ * input batch @p x into @p col, each band through the unsplit loop
+ * clipped to its H piece and masked at the width boundaries; with
+ * @p shadow, claim each band's input rows. */
 void
-recordScatterHull(const float *img, int64_t c, int64_t ih, int64_t iw,
-                  const PatchView &view, const Window2d &win, int64_t oy0,
-                  int64_t oy1)
+stageItemColumns(const float *x, int64_t c, int64_t ih, int64_t iw,
+                 const Window2d &win, const SplitScheme2d &scheme,
+                 const ConvWork &work, const ConvWorkItem &item,
+                 int64_t out_w, float *col, bool shadow)
 {
-    const int64_t iy_lo = std::max<int64_t>(0, oy0 * win.sh - win.ph_b);
-    const int64_t iy_hi = std::min<int64_t>(
-        view.ih, (oy1 - 1) * win.sh - win.ph_b + win.kh);
-    if (iy_lo < iy_hi)
-        shadowRecordPatch(img, c, ih, iw,
-                          {view.r0 + iy_lo, view.c0, iy_hi - iy_lo, view.iw},
-                          true);
+    const int64_t cols = item.imgs * item.rows * out_w;
+    forEachItemBand(work, item, out_w,
+                    [&](int64_t in, int64_t off, const SplitBandItem &band) {
+                        const float *img = x + in * c * ih * iw;
+                        const SplitPiece1d &ph =
+                            scheme.h.pieces[static_cast<size_t>(band.hi)];
+                        if (shadow)
+                            shadowRecordPatch(
+                                img, c, ih, iw,
+                                bandInputRows(win, scheme.h, band, iw),
+                                false);
+                        im2colViewStrided(img, c, ih, iw, win, scheme.w,
+                                          ph.in_start, ph.in_end, band.oy0,
+                                          band.oy1, col + off, cols, out_w);
+                    });
 }
 
 } // namespace
@@ -157,7 +153,7 @@ splitConv2dForward(const Tensor &x, const Tensor &weight,
                 };
                 // Shadow claims: the item's output rows of every
                 // channel, per image, the shared panel read, and
-                // each staged patch's input hull.
+                // each staged band's input rows.
                 if (shadow) {
                     shadowSetItem(i);
                     shadowRecord(w_panels, panel_floats, false);
@@ -166,16 +162,8 @@ splitConv2dForward(const Tensor &x, const Tensor &weight,
                                          {0, oc, ospatial, 1, 0, img_cols},
                                          true);
                 }
-                forEachItemPatch(
-                    work, item, win, scheme, out_w,
-                    [&](int64_t in, int64_t off, const PatchView &view,
-                        const Window2d &local, int64_t oy0, int64_t oy1) {
-                        const float *img = x.data() + in * c * ih * iw;
-                        if (shadow)
-                            shadowRecordPatch(img, c, ih, iw, view, false);
-                        im2colViewStrided(img, c, ih, iw, view, local, oy0,
-                                          oy1, col + off, cols, out_w);
-                    });
+                stageItemColumns(x.data(), c, ih, iw, win, scheme, work,
+                                 item, out_w, col, shadow != nullptr);
                 gemmPackB(krows, cols, col, cols, pb);
                 // One image writes its output rows in place; a group
                 // bounces C and copies each image's block out.
@@ -305,8 +293,8 @@ splitConv2dBackward(const Tensor &x, const Tensor &weight,
                     };
                     // Shadow claims: the item's grad_out rows of every
                     // output channel, per image, the shared panel
-                    // read, each staged patch's input hull, and each
-                    // band's grad_x scatter hull.
+                    // read, and each band's input rows, staged from x
+                    // and scattered into grad_x.
                     if (shadow) {
                         shadowSetItem(i);
                         shadowRecord(wt_panels, panel_floats, false);
@@ -315,19 +303,9 @@ splitConv2dBackward(const Tensor &x, const Tensor &weight,
                                 go_img(j), {0, oc, ospatial, 1, 0, img_cols},
                                 false);
                     }
-                    forEachItemPatch(
-                        work, item, win, scheme, out_w,
-                        [&](int64_t in, int64_t off, const PatchView &view,
-                            const Window2d &local, int64_t oy0,
-                            int64_t oy1) {
-                            const float *img = x.data() + in * c * ih * iw;
-                            if (shadow)
-                                shadowRecordPatch(img, c, ih, iw, view,
-                                                  false);
-                            im2colViewStrided(img, c, ih, iw, view, local,
-                                              oy0, oy1, col + off, cols,
-                                              out_w);
-                        });
+                    stageItemColumns(x.data(), c, ih, iw, win, scheme,
+                                     work, item, out_w, col,
+                                     shadow != nullptr);
                     // The item's grad_out columns: the parent rows in
                     // place for one image, a bounce copy for a group.
                     const float *go = go_img(0);
@@ -350,22 +328,26 @@ splitConv2dBackward(const Tensor &x, const Tensor &weight,
                     gemmPackedAB(krows, oc, cols, pa_col, pb_got,
                                  t == 0 ? 0.0f : 1.0f, gw_unit, oc);
                     // dgrad: gcol = W^T x grad_out columns, scattered
-                    // per image, band and width patch in order.
+                    // per image and band in order.
                     gemmPackB(oc, cols, go, go_ld, pb_go);
                     gemmPackedAB(krows, cols, oc, wt_panels, pb_go, 0.0f,
                                  gcol, cols);
-                    forEachItemPatch(
-                        work, item, win, scheme, out_w,
-                        [&](int64_t in, int64_t off, const PatchView &view,
-                            const Window2d &local, int64_t oy0,
-                            int64_t oy1) {
+                    forEachItemBand(
+                        work, item, out_w,
+                        [&](int64_t in, int64_t off,
+                            const SplitBandItem &band) {
                             float *gimg = grad_x.data() + in * c * ih * iw;
+                            const SplitPiece1d &ph =
+                                scheme.h.pieces[static_cast<size_t>(band.hi)];
                             if (shadow)
-                                recordScatterHull(gimg, c, ih, iw, view,
-                                                  local, oy0, oy1);
-                            col2imViewStrided(gcol + off, c, ih, iw, view,
-                                              local, oy0, oy1, gimg, cols,
-                                              out_w);
+                                shadowRecordPatch(
+                                    gimg, c, ih, iw,
+                                    bandInputRows(win, scheme.h, band, iw),
+                                    true);
+                            col2imViewStrided(gcol + off, c, ih, iw, win,
+                                              scheme.w, ph.in_start,
+                                              ph.in_end, band.oy0, band.oy1,
+                                              gimg, cols, out_w);
                         });
                 }
                 if (has_bias) {

@@ -1,8 +1,8 @@
 /**
  * @file
- * 2-D convolution forward and backward: one band engine (halo-aware
- * im2col + packed GEMM) per direction, for split and unsplit layers
- * alike — an unsplit layer is the one-patch split.
+ * 2-D convolution forward and backward: one band engine (im2col in
+ * parent coordinates + packed GEMM) per direction, for split and
+ * unsplit layers alike — an unsplit layer is the one-patch split.
  */
 #ifndef SCNN_KERNELS_CONV2D_H
 #define SCNN_KERNELS_CONV2D_H
@@ -17,10 +17,12 @@ namespace scnn {
  * Split convolution forward (Eqs. 4-7 applied to conv2d), fused and
  * zero-copy; an unsplit layer passes wholeImageScheme. The weight is
  * packed as GEMM A panels once per call. Each work item of convWork
- * stages the halo-aware im2col columns of every patch it covers
- * (im2colViewStrided) into one column matrix ordered by parent output
- * position — one band of one image, or every band of an image group
- * side by side — packs it into B panels once, and runs one GEMM
+ * stages the im2col columns of every band it covers
+ * (im2colViewStrided: whole parent rows under the unsplit window,
+ * clipped to the band's H piece and masked at the width boundaries)
+ * into one column matrix ordered by parent output position — one
+ * band of one image, or every band of an image group side by side —
+ * packs it into B panels once, and runs one GEMM
  * against the shared weight panels. C is the parent output itself
  * for one image, and a bounce buffer for an image group. Items write
  * disjoint output regions and every element accumulates K ascending
@@ -71,12 +73,13 @@ conv2dForwardAuto(const Tensor &x, const Tensor &weight,
  *          column of the group. Partials reduce into grad_w serially
  *          in unit order (images, or groups, ascending).
  *   dgrad: W^T panels x the item's grad_out columns, scattered into
- *          grad_x through each patch's view (col2imViewStrided).
+ *          grad_x band by band under the same clip and mask
+ *          (col2imViewStrided).
  *
  * A grouped item reads grad_out through a bounce copy (its images'
  * blocks are not one strided matrix). Units fan out across the pool
- * in waves; a worker owns a unit and runs its items, images, bands
- * and patches ascending, so halo scatters accumulate in a fixed order
+ * in waves; a worker owns a unit and runs its items, images and bands
+ * ascending, so halo scatters accumulate in a fixed order
  * and the result is bitwise-identical for any thread count (the SA609
  * discipline buildSplitConvBackwardPlan models). The bias gradient
  * sums each image's grad_out rows and reduces them in image order.

@@ -12,38 +12,34 @@ namespace scnn {
 
 namespace {
 
-/** Max-pool one image's patch @p view (window @p win is patch-local)
- * into its block at (@p oy0, @p ox0) of the parent output image
- * [C, out_oh, out_ow]. @p argmax is laid out like @p out; each slot
- * receives @p argmax_base plus the max's offset in @p img (-1 for an
- * all-padding window, which writes 0). */
+/** Max-pool one image's patch (@p ph, @p pw) into its block of the
+ * parent output image [C, out_oh, out_ow] through the unsplit window
+ * @p win, taps clipped to the patch's input rectangle. @p argmax is
+ * laid out like @p out; each slot receives @p argmax_base plus the
+ * max's offset in @p img (-1 for an all-padding window, which
+ * writes 0). */
 void
 maxPool2dPatch(const float *img, int64_t c, int64_t ih, int64_t iw,
-               const PatchView &view, const Window2d &win, float *out,
-               int64_t out_oh, int64_t out_ow, int64_t oy0,
-               int64_t ox0, int64_t *argmax, int64_t argmax_base)
+               const Window2d &win, const SplitPiece1d &ph,
+               const SplitPiece1d &pw, float *out, int64_t out_oh,
+               int64_t out_ow, int64_t *argmax, int64_t argmax_base)
 {
-    const int64_t oh_p = win.outH(view.ih);
-    const int64_t ow_p = win.outW(view.iw);
     for (int64_t ic = 0; ic < c; ++ic) {
         const float *chan = img + ic * ih * iw;
-        const int64_t row0 = ic * out_oh * out_ow + oy0 * out_ow + ox0;
-        for (int64_t oy = 0; oy < oh_p; ++oy) {
-            float *orow = out + row0 + oy * out_ow;
-            int64_t *arow = argmax + row0 + oy * out_ow;
-            for (int64_t ox = 0; ox < ow_p; ++ox) {
+        for (int64_t oy = ph.out_start; oy < ph.out_end; ++oy) {
+            const int64_t row = (ic * out_oh + oy) * out_ow;
+            for (int64_t ox = pw.out_start; ox < pw.out_end; ++ox) {
                 float best = -std::numeric_limits<float>::infinity();
                 int64_t best_off = -1;
                 for (int64_t ky = 0; ky < win.kh; ++ky) {
                     const int64_t iy = oy * win.sh - win.ph_b + ky;
-                    if (iy < 0 || iy >= view.ih)
+                    if (iy < ph.in_start || iy >= ph.in_end)
                         continue;
                     for (int64_t kx = 0; kx < win.kw; ++kx) {
                         const int64_t ix = ox * win.sw - win.pw_b + kx;
-                        if (ix < 0 || ix >= view.iw)
+                        if (ix < pw.in_start || ix >= pw.in_end)
                             continue;
-                        const int64_t off =
-                            view.parentOffset(iy, ix, iw);
+                        const int64_t off = iy * iw + ix;
                         const float v = chan[off];
                         // Strict >: the first max in tap order wins,
                         // and NaN never replaces it.
@@ -53,10 +49,10 @@ maxPool2dPatch(const float *img, int64_t c, int64_t ih, int64_t iw,
                         }
                     }
                 }
-                orow[ox] = best_off < 0 ? 0.0f : best;
-                arow[ox] = best_off < 0
-                               ? -1
-                               : argmax_base + ic * ih * iw + best_off;
+                out[row + ox] = best_off < 0 ? 0.0f : best;
+                argmax[row + ox] = best_off < 0
+                                       ? -1
+                                       : argmax_base + ic * ih * iw + best_off;
             }
         }
     }
@@ -65,28 +61,25 @@ maxPool2dPatch(const float *img, int64_t c, int64_t ih, int64_t iw,
 /** Average-pool one image's patch, laid out like maxPool2dPatch. */
 void
 avgPool2dPatch(const float *img, int64_t c, int64_t ih, int64_t iw,
-               const PatchView &view, const Window2d &win, float *out,
-               int64_t out_oh, int64_t out_ow, int64_t oy0,
-               int64_t ox0)
+               const Window2d &win, const SplitPiece1d &ph,
+               const SplitPiece1d &pw, float *out, int64_t out_oh,
+               int64_t out_ow)
 {
-    const int64_t oh_p = win.outH(view.ih);
-    const int64_t ow_p = win.outW(view.iw);
     const float inv_area = 1.0f / static_cast<float>(win.kh * win.kw);
     for (int64_t ic = 0; ic < c; ++ic) {
         const float *chan = img + ic * ih * iw;
-        float *ochan = out + ic * out_oh * out_ow;
-        for (int64_t oy = 0; oy < oh_p; ++oy) {
-            float *orow = ochan + (oy0 + oy) * out_ow + ox0;
-            for (int64_t ox = 0; ox < ow_p; ++ox) {
+        for (int64_t oy = ph.out_start; oy < ph.out_end; ++oy) {
+            float *orow = out + (ic * out_oh + oy) * out_ow;
+            for (int64_t ox = pw.out_start; ox < pw.out_end; ++ox) {
                 float acc = 0.0f;
                 for (int64_t ky = 0; ky < win.kh; ++ky) {
                     const int64_t iy = oy * win.sh - win.ph_b + ky;
-                    if (iy < 0 || iy >= view.ih)
+                    if (iy < ph.in_start || iy >= ph.in_end)
                         continue;
                     for (int64_t kx = 0; kx < win.kw; ++kx) {
                         const int64_t ix = ox * win.sw - win.pw_b + kx;
-                        if (ix >= 0 && ix < view.iw)
-                            acc += chan[view.parentOffset(iy, ix, iw)];
+                        if (ix >= pw.in_start && ix < pw.in_end)
+                            acc += chan[iy * iw + ix];
                     }
                 }
                 orow[ox] = acc * inv_area;
@@ -96,34 +89,31 @@ avgPool2dPatch(const float *img, int64_t c, int64_t ih, int64_t iw,
 }
 
 /** The exact adjoint of avgPool2dPatch: scatter-add the patch's
- * gradient block (@p grad_out points at its first element, rows
- * @p out_ow and channels @p out_oh * @p out_ow apart) into the
- * parent gradient image through the view. Out-of-view taps are
- * padding and get nothing, exactly as the forward reads them as
- * zero. */
+ * block of the parent gradient image @p grad_out ([C, out_oh,
+ * out_ow]) into @p grad_img. Taps outside the patch's input
+ * rectangle are padding and get nothing, exactly as the forward reads
+ * them as zero. */
 void
 avgPool2dPatchBackward(const float *grad_out, int64_t out_oh,
                        int64_t out_ow, int64_t c, int64_t ih, int64_t iw,
-                       const PatchView &view, const Window2d &win,
-                       float *grad_img)
+                       const Window2d &win, const SplitPiece1d &ph,
+                       const SplitPiece1d &pw, float *grad_img)
 {
-    const int64_t oh_p = win.outH(view.ih);
-    const int64_t ow_p = win.outW(view.iw);
     const float inv_area = 1.0f / static_cast<float>(win.kh * win.kw);
     for (int64_t ic = 0; ic < c; ++ic) {
         float *chan = grad_img + ic * ih * iw;
         const float *gchan = grad_out + ic * out_oh * out_ow;
-        for (int64_t oy = 0; oy < oh_p; ++oy)
-            for (int64_t ox = 0; ox < ow_p; ++ox) {
+        for (int64_t oy = ph.out_start; oy < ph.out_end; ++oy)
+            for (int64_t ox = pw.out_start; ox < pw.out_end; ++ox) {
                 const float g = gchan[oy * out_ow + ox] * inv_area;
                 for (int64_t ky = 0; ky < win.kh; ++ky) {
                     const int64_t iy = oy * win.sh - win.ph_b + ky;
-                    if (iy < 0 || iy >= view.ih)
+                    if (iy < ph.in_start || iy >= ph.in_end)
                         continue;
                     for (int64_t kx = 0; kx < win.kw; ++kx) {
                         const int64_t ix = ox * win.sw - win.pw_b + kx;
-                        if (ix >= 0 && ix < view.iw)
-                            chan[view.parentOffset(iy, ix, iw)] += g;
+                        if (ix >= pw.in_start && ix < pw.in_end)
+                            chan[iy * iw + ix] += g;
                     }
                 }
             }
@@ -177,22 +167,21 @@ poolForward(const Tensor &x, const Window2d &win,
             const int wi = static_cast<int>(i % wp);
             const SplitPiece1d &ph = scheme.h.pieces[hi];
             const SplitPiece1d &pw = scheme.w.pieces[wi];
-            const PatchView view{ph.in_start, pw.in_start, ph.inLen(),
-                                 pw.inLen()};
             const float *img = x.data() + in * c * ih * iw;
             float *oimg = out.data() + in * c * out_h * out_w;
             if (shadow) {
                 // The patch's input hull and per-channel output block.
                 shadowSetItem(i);
-                shadowRecordPatch(img, c, ih, iw, view, false);
+                shadowRecordPatch(img, c, ih, iw,
+                                  {ph.in_start, pw.in_start, ph.inLen(),
+                                   pw.inLen()},
+                                  false);
                 shadowRecordSpan(oimg + ph.out_start * out_w + pw.out_start,
                                  {0, c, out_h * out_w, ph.outLen(), out_w,
                                   pw.outLen()},
                                  true);
             }
-            kernel(in, img, c, ih, iw, view,
-                   patchWindow(win, scheme, hi, wi), oimg, out_h, out_w,
-                   ph.out_start, pw.out_start);
+            kernel(in, img, c, ih, iw, ph, pw, oimg, out_h, out_w);
         }
     });
     checkShadowSession(shadow, what);
@@ -283,13 +272,11 @@ splitMaxPool2dForward(const Tensor &x, const Window2d &win,
     return poolForward(
         x, win, scheme, "split max-pool", &argmax,
         [&](int64_t in, const float *img, int64_t c, int64_t ih,
-            int64_t iw, const PatchView &view, const Window2d &local,
-            float *out, int64_t out_oh, int64_t out_ow, int64_t oy0,
-            int64_t ox0) {
+            int64_t iw, const SplitPiece1d &ph, const SplitPiece1d &pw,
+            float *out, int64_t out_oh, int64_t out_ow) {
             // argmax mirrors the output layout and holds indices into
             // the whole input tensor.
-            maxPool2dPatch(img, c, ih, iw, view, local, out, out_oh,
-                           out_ow, oy0, ox0,
+            maxPool2dPatch(img, c, ih, iw, win, ph, pw, out, out_oh, out_ow,
                            argmax.data() + in * c * out_oh * out_ow,
                            in * c * ih * iw);
         });
@@ -301,11 +288,11 @@ splitAvgPool2dForward(const Tensor &x, const Window2d &win,
 {
     return poolForward(
         x, win, scheme, "split avg-pool", nullptr,
-        [](int64_t, const float *img, int64_t c, int64_t ih, int64_t iw,
-           const PatchView &view, const Window2d &local, float *out,
-           int64_t out_oh, int64_t out_ow, int64_t oy0, int64_t ox0) {
-            avgPool2dPatch(img, c, ih, iw, view, local, out, out_oh,
-                           out_ow, oy0, ox0);
+        [&](int64_t, const float *img, int64_t c, int64_t ih, int64_t iw,
+            const SplitPiece1d &ph, const SplitPiece1d &pw, float *out,
+            int64_t out_oh, int64_t out_ow) {
+            avgPool2dPatch(img, c, ih, iw, win, ph, pw, out, out_oh,
+                           out_ow);
         });
 }
 
@@ -354,15 +341,10 @@ splitAvgPool2dBackward(const Shape &in_shape, const Tensor &grad_out,
         in_shape, grad_out, scheme, "split avg-pool backward",
         [&](Tensor &gx, int64_t in, int hi, int wi) {
             // grad_out is read in place at the parent strides.
-            const SplitPiece1d &ph = scheme.h.pieces[hi];
-            const SplitPiece1d &pw = scheme.w.pieces[wi];
-            avgPool2dPatchBackward(
-                grad_out.data() +
-                    (in * c * out_h + ph.out_start) * out_w + pw.out_start,
-                out_h, out_w, c, ih, iw,
-                {ph.in_start, pw.in_start, ph.inLen(), pw.inLen()},
-                patchWindow(win, scheme, hi, wi),
-                gx.data() + in * c * ih * iw);
+            avgPool2dPatchBackward(grad_out.data() + in * c * out_h * out_w,
+                                   out_h, out_w, c, ih, iw, win,
+                                   scheme.h.pieces[hi], scheme.w.pieces[wi],
+                                   gx.data() + in * c * ih * iw);
         });
 }
 

@@ -289,6 +289,18 @@ splitPatchViews(const SplitScheme2d &scheme)
     return views;
 }
 
+PatchView
+bandInputRows(const Window2d &win, const SplitScheme1d &h,
+              const SplitBandItem &band, int64_t iw)
+{
+    const SplitPiece1d &ph = h.pieces[static_cast<size_t>(band.hi)];
+    const int64_t lo =
+        std::max(ph.in_start, band.oy0 * win.sh - win.ph_b);
+    const int64_t hi =
+        std::min(ph.in_end, (band.oy1 - 1) * win.sh - win.ph_b + win.kh);
+    return {lo, 0, hi - lo, iw};
+}
+
 ConvWork
 convWork(int64_t n, int64_t krows, int64_t out_w, const SplitScheme1d &h)
 {
@@ -296,9 +308,10 @@ convWork(int64_t n, int64_t krows, int64_t out_w, const SplitScheme1d &h)
     // Each piece's output rows, chopped into kSplitConvRowBand-row bands.
     for (int hi = 0; hi < h.parts(); ++hi) {
         const SplitPiece1d &ph = h.pieces[static_cast<size_t>(hi)];
-        for (int64_t oy0 = 0; oy0 < ph.outLen(); oy0 += kSplitConvRowBand)
+        for (int64_t oy0 = ph.out_start; oy0 < ph.out_end;
+             oy0 += kSplitConvRowBand)
             work.bands.push_back(
-                {hi, oy0, std::min(ph.outLen(), oy0 + kSplitConvRowBand)});
+                {hi, oy0, std::min(ph.out_end, oy0 + kSplitConvRowBand)});
     }
     const int n_bands = static_cast<int>(work.bands.size());
     const int64_t out_h = h.pieces.back().out_end;
@@ -316,9 +329,7 @@ convWork(int64_t n, int64_t krows, int64_t out_w, const SplitScheme1d &h)
                 const SplitBandItem &b =
                     work.bands[static_cast<size_t>(bi)];
                 work.items.push_back(
-                    {in, 1, bi, bi + 1,
-                     h.pieces[static_cast<size_t>(b.hi)].out_start + b.oy0,
-                     b.oy1 - b.oy0});
+                    {in, 1, bi, bi + 1, b.oy0, b.oy1 - b.oy0});
             }
     }
     work.units = work.grouped ? static_cast<int64_t>(work.items.size()) : n;

@@ -221,14 +221,22 @@ constexpr int64_t kSplitConvRowBand = 16;
  * fixes, depend on the shapes alone. */
 constexpr int64_t kConvGroupFloats = 64 * 1024;
 
-/** One band of conv work: patch-local output rows [oy0, oy1) of
- * patch-row group hi (all width patches of that group). */
+/** One band of conv work: parent output rows [oy0, oy1) of H piece
+ * hi, full width. */
 struct SplitBandItem
 {
     int hi;      ///< index into the H scheme's pieces
-    int64_t oy0; ///< first patch-local output row (inclusive)
-    int64_t oy1; ///< last patch-local output row (exclusive)
+    int64_t oy0; ///< first parent output row (inclusive)
+    int64_t oy1; ///< last parent output row (exclusive)
 };
+
+/** The parent rows @p band's taps read and its dgrad scatters into:
+ * the window's reach from its output rows, clipped to its H piece's
+ * input rows, full width (empty when every tap is padding). The conv
+ * kernels record it as their shadow claim; the SA6xx conv plans
+ * predict it. */
+PatchView bandInputRows(const Window2d &win, const SplitScheme1d &h,
+                        const SplitBandItem &band, int64_t iw);
 
 /** One conv work item: bands [band0, band1) of images
  * [img0, img0 + imgs). The item's column matrix holds one block of

@@ -58,10 +58,10 @@ struct Window2d
 
 /**
  * A rectangular patch of a parent image, addressed zero-copy: the
- * patch is parent[r0 : r0+ih, c0 : c0+iw]. The halo-aware split
- * kernels (im2colViewStrided, the pool patch kernels) read parent memory
- * through this view via strided offsets instead of materializing a
- * padded per-patch tensor.
+ * patch is parent[r0 : r0+ih, c0 : c0+iw]. Split batch norm reads and
+ * writes its patches through these views, and the shadow recorder
+ * claims them as contiguous hulls; the conv and pool kernels run the
+ * unsplit window in parent coordinates instead.
  */
 struct PatchView
 {
@@ -75,15 +75,6 @@ struct PatchView
     full(int64_t ih, int64_t iw)
     {
         return PatchView{0, 0, ih, iw};
-    }
-
-    /** True when patch-local coordinates fall inside the view — the
-     * bounds the halo-aware kernels clip window taps against (taps
-     * outside the view are the split scheme's zero padding). */
-    bool
-    inBounds(int64_t y, int64_t x) const
-    {
-        return y >= 0 && y < ih && x >= 0 && x < iw;
     }
 
     /** Linear offset of patch-local (y, x) in the parent image whose

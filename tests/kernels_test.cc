@@ -106,30 +106,58 @@ TEST(Gemm, TransposedVariantsAgree)
 
 TEST(Im2col, AdjointProperty)
 {
-    // <im2col(x), c> == <x, col2im(c)> for random x, c, over the
-    // whole image (the view kernels with PatchView::full).
+    // <im2col(x), c> == <x, col2im(c)> for random x, c, band by band
+    // over the whole-image scheme and split schemes under every input
+    // policy, so the masked col2im is pinned as the adjoint of the
+    // masked im2col.
+    struct Case
+    {
+        Window2d win;
+        int64_t ih, iw;
+        int nh, nw;
+    };
+    const Case cases[] = {
+        {{3, 2, 1, 1, 1, 0, 1, 1}, 6, 5, 1, 1},
+        {{3, 2, 1, 1, 1, 0, 1, 1}, 9, 11, 2, 3},
+        {Window2d::square(3, 2, 1), 13, 15, 3, 3},
+        {Window2d::square(5, 1, 2), 10, 12, 2, 3},
+        {Window2d::square(2, 2, 0), 8, 10, 2, 2},
+    };
     Rng rng(3);
-    const int64_t c = 2, ih = 6, iw = 5;
-    const Window2d win{3, 2, 1, 1, 1, 0, 1, 1};
-    const int64_t oh = win.outH(ih), ow = win.outW(iw);
-    const int64_t cols = c * win.kh * win.kw * oh * ow;
-    const PatchView full = PatchView::full(ih, iw);
-    std::vector<float> x(c * ih * iw), col(cols), cc(cols),
-        xi(c * ih * iw, 0.0f);
-    for (auto &v : x)
-        v = rng.normal();
-    for (auto &v : cc)
-        v = rng.normal();
-    im2colViewStrided(x.data(), c, ih, iw, full, win, 0, oh, col.data(),
-                      oh * ow, ow);
-    col2imViewStrided(cc.data(), c, ih, iw, full, win, 0, oh, xi.data(),
-                      oh * ow, ow);
-    double lhs = 0.0, rhs = 0.0;
-    for (int64_t i = 0; i < cols; ++i)
-        lhs += double(col[i]) * cc[i];
-    for (size_t i = 0; i < x.size(); ++i)
-        rhs += double(x[i]) * xi[i];
-    EXPECT_NEAR(lhs, rhs, 1e-3);
+    const int64_t c = 2;
+    for (const Case &tc : cases)
+        for (const InputSplitPolicy policy :
+             {InputSplitPolicy::LowerBound, InputSplitPolicy::Center,
+              InputSplitPolicy::UpperBound}) {
+            const Window2d &win = tc.win;
+            const SplitScheme2d scheme = splitWindowOp2d(
+                win, tc.ih, tc.iw, evenOutputSplit(win.outH(tc.ih), tc.nh),
+                evenOutputSplit(win.outW(tc.iw), tc.nw), policy);
+            const int64_t ow = win.outW(tc.iw);
+            std::vector<float> x(c * tc.ih * tc.iw);
+            for (auto &v : x)
+                v = rng.normal();
+            for (const SplitPiece1d &ph : scheme.h.pieces) {
+                const int64_t rows = ph.outLen();
+                const int64_t cols = c * win.kh * win.kw * rows * ow;
+                std::vector<float> col(cols), cc(cols),
+                    xi(c * tc.ih * tc.iw, 0.0f);
+                for (auto &v : cc)
+                    v = rng.normal();
+                im2colViewStrided(x.data(), c, tc.ih, tc.iw, win, scheme.w,
+                                  ph.in_start, ph.in_end, ph.out_start,
+                                  ph.out_end, col.data(), rows * ow, ow);
+                col2imViewStrided(cc.data(), c, tc.ih, tc.iw, win, scheme.w,
+                                  ph.in_start, ph.in_end, ph.out_start,
+                                  ph.out_end, xi.data(), rows * ow, ow);
+                double lhs = 0.0, rhs = 0.0;
+                for (int64_t i = 0; i < cols; ++i)
+                    lhs += double(col[i]) * cc[i];
+                for (size_t i = 0; i < x.size(); ++i)
+                    rhs += double(x[i]) * xi[i];
+                EXPECT_NEAR(lhs, rhs, 1e-3) << win.toString();
+            }
+        }
 }
 
 TEST(Conv2d, ForwardMatchesDirectReference)

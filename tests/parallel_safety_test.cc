@@ -9,10 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "analysis/shadow_access.h"
+#include "halo_cases.h"
 #include "core/splitter.h"
 #include "kernels/batchnorm.h"
 #include "kernels/conv2d.h"
+#include "kernels/im2col.h"
 #include "kernels/pool2d.h"
 #include "kernels/window.h"
 #include "models/models.h"
@@ -151,6 +157,53 @@ TEST(ParallelSafety, ShadowValidatesFusedConvAgainstModel)
     EXPECT_GE(stats.sessions_checked, 2);
     EXPECT_GT(stats.records_checked, 0);
     EXPECT_EQ(stats.violations, 0);
+}
+
+/** The band hull the conv kernels claim and the SA6xx conv plans
+ * predict (bandInputRows) bounds what the staging really reads and
+ * the dgrad scatter really writes: rows outside it are NaN-poisoned
+ * and must not reach the columns, and must stay untouched by the
+ * scatter. The shadow recorder only sees the claimed hull, so this
+ * pins the hull to the element accesses. */
+TEST(ParallelSafety, BandInputRowsBoundStagingAndScatter)
+{
+    const int64_t c = 2;
+    for (const HaloCase &hc : kHaloCases) {
+        const Window2d win = hc.win();
+        const SplitScheme2d scheme = hc.scheme();
+        const int64_t ow = win.outW(hc.iw);
+        const ConvWork work =
+            convWork(1, c * win.kh * win.kw, ow, scheme.h);
+        for (const SplitBandItem &band : work.bands) {
+            const SplitPiece1d &ph =
+                scheme.h.pieces[static_cast<size_t>(band.hi)];
+            const PatchView rows = bandInputRows(win, scheme.h, band, hc.iw);
+            auto inRows = [&](int64_t i) {
+                const int64_t y = (i / hc.iw) % hc.ih;
+                return y >= rows.r0 && y < rows.r0 + rows.ih;
+            };
+            const int64_t cols = (band.oy1 - band.oy0) * ow;
+            std::vector<float> x(static_cast<size_t>(c * hc.ih * hc.iw));
+            for (size_t i = 0; i < x.size(); ++i)
+                x[i] = inRows(static_cast<int64_t>(i))
+                           ? 1.0f
+                           : std::numeric_limits<float>::quiet_NaN();
+            std::vector<float> col(
+                static_cast<size_t>(c * win.kh * win.kw * cols), 1.0f);
+            im2colViewStrided(x.data(), c, hc.ih, hc.iw, win, scheme.w,
+                              ph.in_start, ph.in_end, band.oy0, band.oy1,
+                              col.data(), cols, ow);
+            for (const float v : col)
+                ASSERT_FALSE(std::isnan(v)) << hc.name << " band " << band.oy0;
+            std::vector<float> gx(x.size(), 0.0f);
+            col2imViewStrided(col.data(), c, hc.ih, hc.iw, win, scheme.w,
+                              ph.in_start, ph.in_end, band.oy0, band.oy1,
+                              gx.data(), cols, ow);
+            for (size_t i = 0; i < gx.size(); ++i)
+                if (!inRows(static_cast<int64_t>(i)))
+                    ASSERT_EQ(gx[i], 0.0f) << hc.name << " band " << band.oy0;
+        }
+    }
 }
 
 TEST(ParallelSafety, ShadowValidatesFusedPoolAgainstModel)

@@ -25,6 +25,7 @@
 #include "kernels/conv2d.h"
 #include "kernels/microkernel.h"
 #include "kernels/pool2d.h"
+#include "halo_cases.h"
 #include "split_oracle.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
@@ -73,30 +74,13 @@ bitwiseEqual(const Tensor &a, const Tensor &b)
                            sizeof(float)) == 0;
 }
 
-/** The same halo geometries the forward equivalence tests sweep. */
-struct HaloCase
-{
-    const char *name;
-    int64_t ih, iw;  ///< input extents
-    int64_t k, s, p; ///< square kernel/stride/pad
-    int nh, nw;      ///< split parts per axis
-};
-
-const HaloCase kHaloCases[] = {
-    {"borders_1px", 9, 9, 3, 1, 1, 3, 3},  // 1px output borders
-    {"uneven", 17, 19, 3, 1, 1, 3, 4},     // uneven patch extents
-    {"stride2", 18, 22, 3, 2, 1, 2, 3},    // strided windows
-    {"big_halo", 16, 16, 5, 1, 2, 2, 2},   // 2-row halos
-    {"no_pad", 14, 12, 3, 1, 0, 2, 2},     // halo only, no zeros
-    {"tiny_patches", 7, 7, 3, 1, 1, 3, 3}, // patches of 2-3 rows
-};
-
 TEST(SplitBackward, ConvFusedMatchesMaterializedBitwise)
 {
-    // Bitwise under either microkernel, on reads that never go
-    // through a patch view — a mismatch isolates the zero-copy view
-    // machinery (strided im2col staging, strided grad_out packing,
-    // W^T panels). dgrad against the per-patch oracle
+    // Bitwise under either microkernel, on reads that never address
+    // a patch inside its parent — a mismatch isolates the zero-copy
+    // machinery (masked whole-row im2col staging and col2im scatter,
+    // strided grad_out packing, W^T panels), over every input policy
+    // (halo_cases.h). dgrad against the per-patch oracle
     // (conv2dBackward on every materialized patch): both stage the
     // same columns and contract W^T in the same order, and patch
     // inputs are disjoint, so the scatter adds nothing twice. wgrad
@@ -114,10 +98,8 @@ TEST(SplitBackward, ConvFusedMatchesMaterializedBitwise)
                 x.fillNormal(rng, 0.0f, 1.0f);
                 Tensor w(Shape{4, 3, hc.k, hc.k});
                 w.fillNormal(rng, 0.0f, 0.4f);
-                const Window2d win =
-                    Window2d::square(hc.k, hc.s, hc.p);
-                const auto scheme =
-                    makeScheme(win, hc.ih, hc.iw, hc.nh, hc.nw);
+                const Window2d win = hc.win();
+                const auto scheme = hc.scheme();
                 Tensor go(Shape{2, 4, win.outH(hc.ih),
                                 win.outW(hc.iw)});
                 go.fillNormal(rng, 0.0f, 1.0f);
@@ -157,9 +139,8 @@ TEST(SplitBackward, ConvMatchesComposedPerPatchReference)
         x.fillNormal(rng, 0.0f, 1.0f);
         Tensor w(Shape{4, 3, hc.k, hc.k});
         w.fillNormal(rng, 0.0f, 0.4f);
-        const Window2d win = Window2d::square(hc.k, hc.s, hc.p);
-        const auto scheme =
-            makeScheme(win, hc.ih, hc.iw, hc.nh, hc.nw);
+        const Window2d win = hc.win();
+        const auto scheme = hc.scheme();
         Tensor go(Shape{2, 4, win.outH(hc.ih), win.outW(hc.iw)});
         go.fillNormal(rng, 0.0f, 1.0f);
 
@@ -210,9 +191,8 @@ TEST(SplitBackward, ConvIsAdjointOfFusedForward)
         x.fillNormal(rng, 0.0f, 1.0f);
         Tensor w(Shape{4, 3, hc.k, hc.k});
         w.fillNormal(rng, 0.0f, 0.4f);
-        const Window2d win = Window2d::square(hc.k, hc.s, hc.p);
-        const auto scheme =
-            makeScheme(win, hc.ih, hc.iw, hc.nh, hc.nw);
+        const Window2d win = hc.win();
+        const auto scheme = hc.scheme();
         const Tensor out =
             splitConv2dForward(x, w, Tensor(), win, scheme);
         Tensor go(out.shape());
@@ -243,9 +223,8 @@ TEST(SplitBackward, MaxPoolFusedMatchesMaterializedAndUnsplit)
         Rng rng(++seed);
         Tensor x(Shape{2, 3, hc.ih, hc.iw});
         x.fillNormal(rng, 0.0f, 1.0f);
-        const Window2d win = Window2d::square(hc.k, hc.s, hc.p);
-        const auto scheme =
-            makeScheme(win, hc.ih, hc.iw, hc.nh, hc.nw);
+        const Window2d win = hc.win();
+        const auto scheme = hc.scheme();
         std::vector<int64_t> split_argmax;
         const Tensor out =
             splitMaxPool2dForward(x, win, scheme, split_argmax);
@@ -279,9 +258,8 @@ TEST(SplitBackward, AvgPoolFusedMatchesMaterializedBitwise)
     uint32_t seed = 140;
     for (const auto &hc : kHaloCases) {
         Rng rng(++seed);
-        const Window2d win = Window2d::square(hc.k, hc.s, hc.p);
-        const auto scheme =
-            makeScheme(win, hc.ih, hc.iw, hc.nh, hc.nw);
+        const Window2d win = hc.win();
+        const auto scheme = hc.scheme();
         Tensor go(Shape{2, 3, win.outH(hc.ih), win.outW(hc.iw)});
         go.fillNormal(rng, 0.0f, 1.0f);
 
@@ -304,9 +282,8 @@ TEST(SplitBackward, AvgPoolIsAdjointOfFusedForward)
         Rng rng(++seed);
         Tensor x(Shape{2, 3, hc.ih, hc.iw});
         x.fillNormal(rng, 0.0f, 1.0f);
-        const Window2d win = Window2d::square(hc.k, hc.s, hc.p);
-        const auto scheme =
-            makeScheme(win, hc.ih, hc.iw, hc.nh, hc.nw);
+        const Window2d win = hc.win();
+        const auto scheme = hc.scheme();
         const Tensor out = splitAvgPool2dForward(x, win, scheme);
         Tensor go(out.shape());
         go.fillNormal(rng, 0.0f, 1.0f);

@@ -13,6 +13,7 @@
 #include <tuple>
 #include <vector>
 
+#include "halo_cases.h"
 #include "split_oracle.h"
 
 #include "kernels/conv2d.h"
@@ -227,35 +228,19 @@ TEST(SplitOp, SlicePatchMatchesManualCrop)
 }
 
 /**
- * Halo-geometry sweep for the fused zero-copy path: every case pits
- * the view-based execution against the per-patch oracle on the same
- * scheme.
+ * Halo-geometry sweep (halo_cases.h) for the fused zero-copy path:
+ * every case pits the parent-coordinate execution against the
+ * per-patch oracle on the same scheme.
  *
  * - under the scalar microkernel, fused im2col+GEMM is
  *   bitwise-identical to materializing each patch and running
  *   conv2dForward on it (same per-element accumulation order; the
- *   view reads the exact bytes the pad2d copy would have staged, and
- *   scheme paddings zero-fill the same positions);
+ *   whole-row staging reads the exact bytes the pad2d copy would
+ *   have staged, and the row clip and width mask zero-fill the
+ *   positions the patch paddings do);
  * - fused-vs-materialized always agrees within float tolerance under
  *   whichever microkernel the environment picked.
  */
-struct HaloCase
-{
-    const char *name;
-    int64_t ih, iw; ///< input extents
-    int64_t k, s, p; ///< square kernel/stride/pad
-    int nh, nw;      ///< split parts per axis
-};
-
-const HaloCase kHaloCases[] = {
-    {"borders_1px", 9, 9, 3, 1, 1, 3, 3},   // 1px output borders
-    {"uneven", 17, 19, 3, 1, 1, 3, 4},      // uneven patch extents
-    {"stride2", 18, 22, 3, 2, 1, 2, 3},     // strided windows
-    {"big_halo", 16, 16, 5, 1, 2, 2, 2},    // 2-row halos
-    {"no_pad", 14, 12, 3, 1, 0, 2, 2},      // halo only, no zeros
-    {"tiny_patches", 7, 7, 3, 1, 1, 3, 3},  // patches of 2-3 rows
-};
-
 TEST(SplitOp, FusedIm2colMatchesMaterializedIm2col)
 {
     uint32_t seed = 40;
@@ -267,10 +252,8 @@ TEST(SplitOp, FusedIm2colMatchesMaterializedIm2col)
         w.fillNormal(rng, 0.0f, 0.4f);
         Tensor b(Shape{4});
         b.fillNormal(rng, 0.0f, 0.4f);
-        const Window2d win =
-            Window2d::square(hc.k, hc.s, hc.p);
-        const auto scheme =
-            makeScheme(win, hc.ih, hc.iw, hc.nh, hc.nw);
+        const Window2d win = hc.win();
+        const auto scheme = hc.scheme();
         // The per-patch oracle: the unsplit kernel on every
         // materialized patch.
         auto materialized = [&] {
@@ -304,10 +287,8 @@ TEST(SplitOp, FusedMatchesMaterializedWithinTolerance)
         x.fillNormal(rng, 0.0f, 1.0f);
         Tensor w(Shape{4, 3, hc.k, hc.k});
         w.fillNormal(rng, 0.0f, 0.4f);
-        const Window2d win =
-            Window2d::square(hc.k, hc.s, hc.p);
-        const auto scheme =
-            makeScheme(win, hc.ih, hc.iw, hc.nh, hc.nw);
+        const Window2d win = hc.win();
+        const auto scheme = hc.scheme();
         Tensor fused = splitConv2dForward(x, w, Tensor(), win, scheme);
         Tensor ref = oracle::runSplitOp(
             x, win, scheme,
@@ -322,7 +303,8 @@ TEST(SplitOp, FusedMatchesMaterializedWithinTolerance)
 /**
  * Fused zero-copy split pooling vs the per-patch oracle, over the
  * same halo-geometry sweep as the conv tests (1px borders, uneven
- * patch grids, stride-2, 2-row halos) plus natural pool shapes. The
+ * patch grids, stride-2, 2-row halos, every input policy) plus
+ * natural pool shapes. The
  * patch kernels replay maxPool2dForward / avgPool2dForward's clip
  * tests and tap order on parent memory, so equality is bitwise — max
  * selection is order-sensitive and avg accumulation order fixed, no
@@ -339,6 +321,16 @@ const HaloCase kPoolCases[] = {
     {"natural_2x2", 16, 16, 2, 2, 0, 2, 2},
     {"natural_pad", 14, 14, 2, 2, 1, 2, 2},
     {"pool3_stride2", 21, 17, 3, 2, 1, 3, 2},
+    {"lower_pool3_stride2", 21, 17, 3, 2, 1, 3, 2, kLower},
+    {"upper_pool3_stride2", 21, 17, 3, 2, 1, 3, 2, kUpper},
+    {"lower_k3s1", 13, 11, 3, 1, 1, 3, 2, kLower},
+    {"upper_k3s1", 13, 11, 3, 1, 1, 3, 2, kUpper},
+    {"lower_k5s2", 19, 21, 5, 2, 2, 2, 3, kLower},
+    {"upper_k5s2", 19, 21, 5, 2, 2, 2, 3, kUpper},
+    {"lower_k2s1", 12, 10, 2, 1, 1, 2, 3, kLower},
+    {"upper_k2s1", 12, 10, 2, 1, 1, 2, 3, kUpper},
+    {"k1s1", 9, 10, 1, 1, 0, 3, 2, kUpper},
+    {"shortcut_1x1s2", 16, 14, 1, 2, 0, 2, 2},
 };
 
 TEST(SplitPool, FusedMaxBitwiseMatchesMaterialized)
@@ -348,9 +340,8 @@ TEST(SplitPool, FusedMaxBitwiseMatchesMaterialized)
         Rng rng(++seed);
         Tensor x(Shape{2, 3, hc.ih, hc.iw});
         x.fillNormal(rng, 0.0f, 1.0f);
-        const Window2d win = Window2d::square(hc.k, hc.s, hc.p);
-        const auto scheme =
-            makeScheme(win, hc.ih, hc.iw, hc.nh, hc.nw);
+        const Window2d win = hc.win();
+        const auto scheme = hc.scheme();
         std::vector<int64_t> argmax, ref_argmax;
         Tensor fused = splitMaxPool2dForward(x, win, scheme, argmax);
         Tensor ref =
@@ -368,9 +359,8 @@ TEST(SplitPool, FusedAvgBitwiseMatchesMaterialized)
         Rng rng(++seed);
         Tensor x(Shape{2, 3, hc.ih, hc.iw});
         x.fillNormal(rng, 0.0f, 1.0f);
-        const Window2d win = Window2d::square(hc.k, hc.s, hc.p);
-        const auto scheme =
-            makeScheme(win, hc.ih, hc.iw, hc.nh, hc.nw);
+        const Window2d win = hc.win();
+        const auto scheme = hc.scheme();
         Tensor fused = splitAvgPool2dForward(x, win, scheme);
         Tensor ref = oracle::runSplitOp(
             x, win, scheme,

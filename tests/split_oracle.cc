@@ -101,7 +101,6 @@ splitConvWgradFusedOrder(const Tensor &x, const Tensor &grad_out,
                          Tensor &grad_w, Tensor &grad_b)
 {
     const int64_t n = x.shape().dim(0), c = x.shape().dim(1);
-    const int64_t ih = x.shape().dim(2), iw = x.shape().dim(3);
     const int64_t oc = grad_w.shape().dim(0);
     const int64_t out_h = grad_out.shape().dim(2);
     const int64_t out_w = grad_out.shape().dim(3);
@@ -110,6 +109,18 @@ splitConvWgradFusedOrder(const Tensor &x, const Tensor &grad_out,
     const bool has_bias = grad_b.numel() > 0;
     const ConvWork work = convWork(n, krows, out_w, scheme.h);
     const int64_t max_cols = work.max_cols;
+    // Every patch materialized with its paddings, so its columns come
+    // from the unsplit call under a window with no padding.
+    Window2d bare = win;
+    bare.ph_b = bare.ph_e = bare.pw_b = bare.pw_e = 0;
+    std::vector<Tensor> padded;
+    for (int hi = 0; hi < scheme.h.parts(); ++hi)
+        for (int wi = 0; wi < scheme.w.parts(); ++wi) {
+            const Window2d local = patchWindow(win, scheme, hi, wi);
+            padded.push_back(pad2d(slicePatch(x, scheme, hi, wi),
+                                   local.ph_b, local.ph_e, local.pw_b,
+                                   local.pw_e));
+        }
 
     auto &arena = ScratchArena::tls();
     auto guard = arena.scope();
@@ -130,35 +141,24 @@ splitConvWgradFusedOrder(const Tensor &x, const Tensor &grad_out,
             const int64_t img_cols = item.rows * out_w;
             const int64_t cols = item.imgs * img_cols;
             for (int64_t j = 0; j < item.imgs; ++j) {
-                const float *img = x.data() + (item.img0 + j) * c * ih * iw;
                 for (int bi = item.band0; bi < item.band1; ++bi) {
                     const SplitBandItem &band =
                         work.bands[static_cast<size_t>(bi)];
                     const SplitPiece1d &ph = scheme.h.pieces[band.hi];
                     const int64_t off =
-                        j * img_cols +
-                        (ph.out_start + band.oy0 - item.row0) * out_w;
+                        j * img_cols + (band.oy0 - item.row0) * out_w;
                     for (int pi = 0; pi < scheme.w.parts(); ++pi) {
-                        const SplitPiece1d &pw = scheme.w.pieces[pi];
-                        // Bounce-copy the patch rectangle; stage from
-                        // the copy.
-                        std::vector<float> patch(static_cast<size_t>(
-                            c * ph.inLen() * pw.inLen()));
-                        for (int64_t ic = 0; ic < c; ++ic)
-                            for (int64_t y = 0; y < ph.inLen(); ++y) {
-                                const float *src = img + ic * ih * iw +
-                                                   (ph.in_start + y) * iw +
-                                                   pw.in_start;
-                                std::copy(src, src + pw.inLen(),
-                                          patch.data() +
-                                              (ic * ph.inLen() + y) *
-                                                  pw.inLen());
-                            }
+                        const Tensor &patch = padded[static_cast<size_t>(
+                            band.hi * scheme.w.parts() + pi)];
+                        const int64_t pih = patch.shape().dim(2);
+                        const int64_t piw = patch.shape().dim(3);
                         im2colViewStrided(
-                            patch.data(), c, ph.inLen(), pw.inLen(),
-                            PatchView::full(ph.inLen(), pw.inLen()),
-                            patchWindow(win, scheme, band.hi, pi), band.oy0,
-                            band.oy1, col + off + pw.out_start, cols,
+                            patch.data() + (item.img0 + j) * c * pih * piw,
+                            c, pih, piw, bare,
+                            wholeImageScheme(bare, pih, piw).w, 0, pih,
+                            band.oy0 - ph.out_start,
+                            band.oy1 - ph.out_start,
+                            col + off + scheme.w.pieces[pi].out_start, cols,
                             out_w);
                     }
                 }

@@ -74,10 +74,12 @@ void splitConvBackward(const Tensor &x, const Tensor &w,
 
 /**
  * The fused conv wgrad's reduction order on bounce-buffered reads,
- * over convWork's documented decomposition: per work item, each
- * patch's rectangle is copied out and its im2col columns are staged
- * from the copy into the item's shared column matrix (an image
- * group's images side by side), the item's grad_out rows are copied
+ * over convWork's documented decomposition: every patch is
+ * materialized with its paddings (pad2d), and per work item each
+ * patch's im2col columns are staged from the padded copy by the
+ * unsplit call (no padding, no row clip, no width mask) into the
+ * item's shared column matrix (an image group's images side by
+ * side), the item's grad_out rows are copied
  * into a contiguous buffer, and the item products chain (beta = 1)
  * over a reduction unit — a banded image's bands ascending, or the one
  * GEMM of an image group; unit partials then reduce into @p grad_w in
